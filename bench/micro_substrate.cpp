@@ -1,6 +1,6 @@
-// Microbenchmarks of the substrate (google-benchmark): NN inference,
-// fp16 compilation, thermal network stepping, and full simulator ticks.
-// These quantify why the runtime governor is cheap and why design-time
+// Microbenchmarks of the substrate (google-benchmark): NN inference and
+// training, fp16 compilation, thermal network stepping, and full simulator
+// ticks. These quantify why the runtime governor is cheap and why design-time
 // trace collection can afford thousands of steady-state solves.
 
 #include <benchmark/benchmark.h>
@@ -10,6 +10,7 @@
 #include "il/trace_collector.hpp"
 #include "npu/compiled_model.hpp"
 #include "npu/inference_backend.hpp"
+#include "nn/trainer.hpp"
 #include "sim/system_sim.hpp"
 #include "thermal/rc_network.hpp"
 
@@ -204,6 +205,34 @@ void BM_MatmulBlocked(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_MatmulBlocked)->Arg(1)->Arg(16)->Arg(64)->Arg(256);
+
+// One epoch of nn::Trainer::fit at design_train's shape: the 21->64x4->8
+// policy network on 4000 rows (3200 train, 800 validation, batch 128).
+// Items are training rows, so items/s is example-epochs per second. Arg
+// is the seed of the random inputs.
+void BM_TrainerFit(benchmark::State& state) {
+  constexpr std::size_t kRows = 4000;
+  nn::Matrix x(kRows, 21);
+  nn::Matrix y(kRows, 8);
+  Rng rng(static_cast<std::uint64_t>(state.range(0)));
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x.data()[i] = static_cast<float>(rng.uniform(0.0, 1.0));
+  }
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    y.data()[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  nn::Mlp model = policy_network();
+  nn::TrainerConfig config;
+  config.max_epochs = 1;
+  nn::Trainer trainer(config);
+  for (auto _ : state) {
+    const nn::TrainResult result = trainer.fit(model, x, y);
+    benchmark::DoNotOptimize(result.final_train_loss);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kRows * 4 / 5));
+}
+BENCHMARK(BM_TrainerFit)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Fused fp16 dense forward (the inference backends' kernel) vs the scalar
 // reference, over ragged shapes with tail rows/cols. Args: {rows, in, out,

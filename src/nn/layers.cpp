@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "nn/simd_kernels.hpp"
+
 namespace topil::nn {
 
 DenseLayer::DenseLayer(std::size_t in_features, std::size_t out_features)
@@ -25,8 +27,12 @@ void DenseLayer::init(Rng& rng) {
 }
 
 Matrix DenseLayer::forward(const Matrix& input) {
+  TOPIL_REQUIRE(input.cols() == in_, "dense layer input width mismatch");
   cached_input_ = input;
-  return forward_inference(input);
+  Matrix out(input.rows(), out_);
+  dense_forward_simd(input.data(), input.rows(), in_, w_.data(), b_.data(),
+                     out_, out.data(), /*relu=*/false);
+  return out;
 }
 
 Matrix DenseLayer::forward_inference(const Matrix& input) const {
@@ -48,24 +54,55 @@ void DenseLayer::forward_inference_into(const Matrix& input, Matrix& out,
 
 Matrix DenseLayer::backward(const Matrix& grad_output) {
   TOPIL_REQUIRE(!cached_input_.empty(), "backward before forward");
-  TOPIL_REQUIRE(grad_output.rows() == cached_input_.rows() &&
+  DenseBackwardScratch scratch;
+  Matrix grad_input;
+  backward(cached_input_, grad_output, scratch, &grad_input);
+  return grad_input;
+}
+
+void DenseLayer::backward(const Matrix& input, const Matrix& grad_output,
+                          DenseBackwardScratch& scratch,
+                          Matrix* grad_input) {
+  TOPIL_REQUIRE(input.cols() == in_, "dense layer input width mismatch");
+  TOPIL_REQUIRE(grad_output.rows() == input.rows() &&
                     grad_output.cols() == out_,
                 "dense layer gradient shape mismatch");
-  // dW += x^T * dy; db += column sums of dy; dx = dy * W^T.
-  const Matrix dw = cached_input_.matmul_transposed_self(grad_output);
-  for (std::size_t i = 0; i < dw_.size(); ++i) {
-    dw_.data()[i] += dw.data()[i];
+  TOPIL_REQUIRE(grad_input != &input && grad_input != &grad_output,
+                "dense layer dx must not alias its operands");
+  const std::size_t rows = input.rows();
+
+  input.transpose_into(scratch.input_t);
+  if (grad_zeroed_) {
+    dense_weight_grad_simd(scratch.input_t.data(), in_, rows,
+                           grad_output.data(), out_, dw_.data());
+  } else {
+    scratch.dw.resize(in_, out_);
+    dense_weight_grad_simd(scratch.input_t.data(), in_, rows,
+                           grad_output.data(), out_, scratch.dw.data());
+    for (std::size_t i = 0; i < dw_.size(); ++i) {
+      dw_.data()[i] += scratch.dw.data()[i];
+    }
   }
-  for (std::size_t r = 0; r < grad_output.rows(); ++r) {
-    const float* g = grad_output.row(r);
+  grad_zeroed_ = false;
+
+  const float* g = grad_output.data();
+  for (std::size_t r = 0; r < rows; ++r, g += out_) {
     for (std::size_t c = 0; c < out_; ++c) db_[c] += g[c];
   }
-  return grad_output.matmul_transposed_other(w_);
+
+  if (grad_input != nullptr) {
+    w_.transpose_into(scratch.weights_t);
+    grad_input->resize(rows, in_);
+    dense_forward_simd(grad_output.data(), rows, out_,
+                       scratch.weights_t.data(), /*bias=*/nullptr, in_,
+                       grad_input->data(), /*relu=*/false);
+  }
 }
 
 void DenseLayer::zero_grad() {
   dw_.fill(0.0f);
   for (float& x : db_) x = 0.0f;
+  grad_zeroed_ = true;
 }
 
 float* DenseLayer::param(std::size_t i) {

@@ -7,6 +7,15 @@
 
 namespace topil::nn {
 
+/// Reusable buffers of DenseLayer::backward: the transposed layer input
+/// (for dW), the transposed weights (for dX) and the dW staging buffer used
+/// when the gradients already hold values.
+struct DenseBackwardScratch {
+  Matrix input_t;
+  Matrix weights_t;
+  Matrix dw;
+};
+
 /// Fully-connected layer: y = x * W + b, with cached activations for
 /// backprop and accumulated parameter gradients.
 class DenseLayer {
@@ -16,8 +25,8 @@ class DenseLayer {
   /// Glorot/Xavier uniform initialization with the given generator.
   void init(Rng& rng);
 
-  /// Forward pass over a batch (batch x in) -> (batch x out). Caches the
-  /// input for the subsequent backward pass.
+  /// Forward pass over a batch (batch x in) -> (batch x out) through
+  /// dense_forward_simd. Caches the input for the subsequent backward pass.
   Matrix forward(const Matrix& input);
 
   /// Inference-only forward pass (no caching, usable on const layers).
@@ -33,6 +42,17 @@ class DenseLayer {
   /// Backward pass: given dL/dy, accumulates dL/dW and dL/db and returns
   /// dL/dx for the upstream layer.
   Matrix backward(const Matrix& grad_output);
+
+  /// Backward pass over one batch: `input` is the batch x this layer saw
+  /// in forward and `grad_output` is dL/dy for it. Adds x^T * dy to dL/dW
+  /// and the column sums of dy to dL/db, and writes dL/dx = dy * W^T into
+  /// `grad_input` unless it is null. dW is computed first and then added
+  /// (a non-zero gradient gets g + sum, never a reassociated sum); right
+  /// after zero_grad() the kernel writes straight into the gradient, which
+  /// is bit-identical because a +0.0f-seeded sum is never -0.0 (DESIGN.md
+  /// §12.5). `grad_input` must not alias `input` or `grad_output`.
+  void backward(const Matrix& input, const Matrix& grad_output,
+                DenseBackwardScratch& scratch, Matrix* grad_input);
 
   void zero_grad();
 
@@ -58,6 +78,7 @@ class DenseLayer {
   std::vector<float> b_;
   Matrix dw_;
   std::vector<float> db_;
+  bool grad_zeroed_ = true;  ///< dw_ is all +0.0f (set by zero_grad())
   Matrix cached_input_;
 };
 

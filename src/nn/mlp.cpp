@@ -9,7 +9,6 @@ Mlp::Mlp(const Topology& topology) : topology_(topology) {
   for (std::size_t width : topology.hidden) {
     TOPIL_REQUIRE(width > 0, "hidden width must be positive");
     dense_.emplace_back(prev, width);
-    relu_.emplace_back();
     prev = width;
   }
   dense_.emplace_back(prev, topology.outputs);
@@ -20,12 +19,27 @@ void Mlp::init(std::uint64_t seed) {
   for (auto& layer : dense_) layer.init(rng);
 }
 
-Matrix Mlp::forward(const Matrix& input) {
-  Matrix x = input;
-  for (std::size_t i = 0; i < relu_.size(); ++i) {
-    x = relu_[i].forward(dense_[i].forward(x));
+const Matrix& Mlp::forward(TrainWorkspace& ws) const {
+  TOPIL_REQUIRE(ws.input.cols() == topology_.inputs,
+                "input width does not match topology");
+  ws.activations.resize(dense_.size());
+  const Matrix* x = &ws.input;
+  for (std::size_t i = 0; i < dense_.size(); ++i) {
+    const DenseLayer& layer = dense_[i];
+    Matrix& activation = ws.activations[i];
+    activation.resize(x->rows(), layer.out_features());
+    dense_forward_simd(x->data(), x->rows(), layer.in_features(),
+                       layer.weights().data(), layer.bias().data(),
+                       layer.out_features(), activation.data(),
+                       /*relu=*/i + 1 < dense_.size());
+    x = &activation;
   }
-  return dense_.back().forward(x);
+  return ws.activations.back();
+}
+
+Matrix Mlp::forward(const Matrix& input) {
+  train_ws_.input = input;
+  return forward(train_ws_);
 }
 
 Matrix Mlp::predict(const Matrix& input) const {
@@ -38,7 +52,7 @@ Matrix Mlp::predict(const Matrix& input) const {
 void Mlp::predict_into(const Matrix& input, Matrix& out,
                        InferenceWorkspace& ws) const {
   const Matrix* x = &input;
-  for (std::size_t i = 0; i < relu_.size(); ++i) {
+  for (std::size_t i = 0; i < topology_.hidden.size(); ++i) {
     Matrix& activation = (i % 2 == 0) ? ws.a : ws.b;
     dense_[i].forward_inference_into(*x, activation, ws.bt);
     float* data = activation.data();
@@ -59,7 +73,7 @@ void Mlp::predict_into(const Matrix& input, Matrix& out,
   TOPIL_REQUIRE(input.cols() == topology_.inputs,
                 "input width does not match topology");
   const Matrix* x = &input;
-  for (std::size_t i = 0; i < relu_.size(); ++i) {
+  for (std::size_t i = 0; i < topology_.hidden.size(); ++i) {
     Matrix& activation = (i % 2 == 0) ? ws.a : ws.b;
     const DenseLayer& layer = dense_[i];
     activation.resize(x->rows(), layer.out_features());
@@ -76,11 +90,28 @@ void Mlp::predict_into(const Matrix& input, Matrix& out,
                      last.out_features(), out.data(), /*relu=*/false);
 }
 
-void Mlp::backward(const Matrix& grad_output) {
-  Matrix g = dense_.back().backward(grad_output);
-  for (std::size_t i = relu_.size(); i-- > 0;) {
-    g = dense_[i].backward(relu_[i].backward(g));
+void Mlp::backward(const Matrix& grad_output, TrainWorkspace& ws) {
+  TOPIL_REQUIRE(ws.activations.size() == dense_.size(),
+                "backward before forward");
+  const Matrix* grad = &grad_output;
+  for (std::size_t i = dense_.size() - 1; i > 0; --i) {
+    // dL/dx of layer i is dL/d(output) of ReLU layer i-1; it masks to
+    // +0.0f wherever that layer's post-activation is <= 0.
+    const Matrix& hidden = ws.activations[i - 1];
+    Matrix& grad_input = (i % 2 == 0) ? ws.grad_a : ws.grad_b;
+    dense_[i].backward(hidden, *grad, ws.scratch, &grad_input);
+    float* g = grad_input.data();
+    const float* a = hidden.data();
+    for (std::size_t k = 0; k < grad_input.size(); ++k) {
+      if (a[k] <= 0.0f) g[k] = 0.0f;
+    }
+    grad = &grad_input;
   }
+  dense_[0].backward(ws.input, *grad, ws.scratch, /*grad_input=*/nullptr);
+}
+
+void Mlp::backward(const Matrix& grad_output) {
+  backward(grad_output, train_ws_);
 }
 
 void Mlp::zero_grad() {

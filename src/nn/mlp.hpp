@@ -29,6 +29,21 @@ struct InferenceWorkspace {
   std::vector<float> bt;
 };
 
+/// Reusable buffers of one training step: the batch input, every layer's
+/// output (post-ReLU for hidden layers, which is all backward needs: a <= 0
+/// exactly when the pre-activation v <= 0, -0.0 and NaN included), the
+/// ping-pong dL/dx buffers and the dense-layer backward scratch. A trainer
+/// keeps one workspace per fit, so a step allocates nothing once the
+/// buffers reach the batch size. Workspaces must not be shared between
+/// threads.
+struct TrainWorkspace {
+  Matrix input;  ///< batch rows, filled by the caller before forward()
+  std::vector<Matrix> activations;
+  Matrix grad_a;
+  Matrix grad_b;
+  DenseBackwardScratch scratch;
+};
+
 /// Fully-connected multi-layer perceptron: ReLU on hidden layers, linear
 /// output (the paper's regression head over per-core mapping ratings).
 class Mlp {
@@ -38,7 +53,12 @@ class Mlp {
   /// (Re-)initialize all weights with the given seed.
   void init(std::uint64_t seed);
 
-  /// Training forward pass over a batch (caches activations).
+  /// Training forward pass over ws.input through dense_forward_simd with
+  /// fused ReLU; every layer's output stays in `ws` for backward(). Returns
+  /// the network output, which lives in `ws`.
+  const Matrix& forward(TrainWorkspace& ws) const;
+  /// Training forward pass over a batch (caches activations in the model's
+  /// own workspace).
   Matrix forward(const Matrix& input);
   /// Inference forward pass (no caches; thread-safe on a const model).
   Matrix predict(const Matrix& input) const;
@@ -53,7 +73,10 @@ class Mlp {
   void predict_into(const Matrix& input, Matrix& out, InferenceWorkspace& ws,
                     InferenceKernel kernel) const;
 
-  /// Backprop from dL/d(output); accumulates parameter gradients.
+  /// Backprop from dL/d(output) through the activations the last
+  /// forward(ws) left in `ws`; accumulates parameter gradients.
+  void backward(const Matrix& grad_output, TrainWorkspace& ws);
+  /// Backprop after forward(const Matrix&); accumulates parameter gradients.
   void backward(const Matrix& grad_output);
   void zero_grad();
 
@@ -70,7 +93,7 @@ class Mlp {
  private:
   Topology topology_;
   std::vector<DenseLayer> dense_;
-  std::vector<ReluLayer> relu_;
+  TrainWorkspace train_ws_;  ///< backs forward(const Matrix&)/backward
 };
 
 }  // namespace topil::nn

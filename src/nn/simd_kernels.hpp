@@ -20,7 +20,8 @@ enum class InferenceKernel {
 ///        so the kernel vectorizes over j with NO transpose while keeping
 ///        the ascending-k per-element accumulation order of the scalar
 ///        reference — the linchpin of the bit-identity contract)
-///   bias out_cols
+///   bias out_cols, or nullptr for no bias add (the training dX = dY * W^T
+///        product runs through here over a transposed copy of W)
 ///   out  rows x out_cols, row-major; must not alias x or w
 ///
 /// Per output element the operation sequence is exactly the scalar
@@ -31,5 +32,19 @@ enum class InferenceKernel {
 void dense_forward_simd(const float* x, std::size_t rows, std::size_t in,
                         const float* w, const float* bias,
                         std::size_t out_cols, float* out, bool relu);
+
+/// Weight gradient of a dense layer: dw = x^T * dy, overwriting dw.
+///
+///   xt   in x rows, row-major: the layer input, transposed
+///   dy   rows x out_cols, row-major: dL/d(layer output)
+///   dw   in x out_cols, row-major; must not alias xt or dy
+///
+/// Same j-blocked kernel as dense_forward_simd, with no bias and no ReLU,
+/// plus the zero-input skip of the scalar reference: per element, acc =
+/// 0.0f; for each row k ascending with xt[i][k] != 0, acc += xt[i][k] *
+/// dy[k][j]. Skipping exact zeros (both signs) keeps 0 * inf = NaN out of
+/// the gradient, exactly like the reference.
+void dense_weight_grad_simd(const float* xt, std::size_t in, std::size_t rows,
+                            const float* dy, std::size_t out_cols, float* dw);
 
 }  // namespace topil::nn

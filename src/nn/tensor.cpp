@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "nn/simd_kernels.hpp"
+
 namespace topil::nn {
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, float value)
@@ -96,34 +98,31 @@ void Matrix::matmul_into(const Matrix& other, Matrix& out,
 
 Matrix Matrix::matmul_transposed_self(const Matrix& other) const {
   TOPIL_REQUIRE(rows_ == other.rows_, "matmul dimension mismatch");
+  Matrix t;
+  transpose_into(t);
   Matrix out(cols_, other.cols_);
-  for (std::size_t k = 0; k < rows_; ++k) {
-    const float* a = row(k);
-    const float* b = other.row(k);
-    for (std::size_t i = 0; i < cols_; ++i) {
-      const float aki = a[i];
-      if (aki == 0.0f) continue;
-      float* o = out.row(i);
-      for (std::size_t j = 0; j < other.cols_; ++j) o[j] += aki * b[j];
-    }
-  }
+  dense_weight_grad_simd(t.data(), cols_, rows_, other.data(), other.cols_,
+                         out.data());
   return out;
 }
 
 Matrix Matrix::matmul_transposed_other(const Matrix& other) const {
   TOPIL_REQUIRE(cols_ == other.cols_, "matmul dimension mismatch");
+  Matrix t;
+  other.transpose_into(t);
   Matrix out(rows_, other.rows_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const float* a = row(i);
-    float* o = out.row(i);
-    for (std::size_t j = 0; j < other.rows_; ++j) {
-      const float* b = other.row(j);
-      float acc = 0.0f;
-      for (std::size_t k = 0; k < cols_; ++k) acc += a[k] * b[k];
-      o[j] = acc;
-    }
-  }
+  dense_forward_simd(data(), rows_, cols_, t.data(), /*bias=*/nullptr,
+                     other.rows_, out.data(), /*relu=*/false);
   return out;
+}
+
+void Matrix::transpose_into(Matrix& out) const {
+  TOPIL_REQUIRE(&out != this, "transpose output must not alias its input");
+  out.resize(cols_, rows_);
+  for (std::size_t r = 0; r < rows_; ++r) {
+    const float* src = data_.data() + r * cols_;
+    for (std::size_t c = 0; c < cols_; ++c) out.data_[c * rows_ + r] = src[c];
+  }
 }
 
 }  // namespace topil::nn

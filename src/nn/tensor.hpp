@@ -44,10 +44,14 @@ class Matrix {
   /// identical to `matmul`, so results match bit-for-bit.
   void matmul_into(const Matrix& other, Matrix& out,
                    std::vector<float>& bt_scratch) const;
-  /// out = this^T * other.
+  /// out = this^T * other, through the training weight-gradient kernel
+  /// (dense_weight_grad_simd: ascending-k, terms whose element of `this`
+  /// is an exact zero skipped).
   Matrix matmul_transposed_self(const Matrix& other) const;
-  /// out = this * other^T.
+  /// out = this * other^T, through the no-bias dense_forward_simd kernel.
   Matrix matmul_transposed_other(const Matrix& other) const;
+  /// out = this^T (cols x rows), reusing out's allocation.
+  void transpose_into(Matrix& out) const;
 
  private:
   std::size_t rows_ = 0;

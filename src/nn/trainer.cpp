@@ -1,5 +1,6 @@
 #include "nn/trainer.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <numeric>
@@ -10,16 +11,16 @@ namespace topil::nn {
 
 namespace {
 
-Matrix gather_rows(const Matrix& source, const std::vector<std::size_t>& idx,
-                   std::size_t begin, std::size_t end) {
+// Copies rows idx[begin, end) of `source` into `out`, reusing its buffer.
+void gather_rows_into(const Matrix& source,
+                      const std::vector<std::size_t>& idx, std::size_t begin,
+                      std::size_t end, Matrix& out) {
   TOPIL_ASSERT(begin < end && end <= idx.size(), "bad gather range");
-  Matrix out(end - begin, source.cols());
+  out.resize(end - begin, source.cols());
   for (std::size_t r = begin; r < end; ++r) {
     const float* src = source.row(idx[r]);
-    float* dst = out.row(r - begin);
-    for (std::size_t c = 0; c < source.cols(); ++c) dst[c] = src[c];
+    std::copy(src, src + source.cols(), out.row(r - begin));
   }
-  return out;
 }
 
 }  // namespace
@@ -62,9 +63,6 @@ TrainResult Trainer::fit(Mlp& model, const Matrix& inputs,
   const std::size_t n_train = inputs.rows() - n_val;
   TOPIL_REQUIRE(n_train >= 1, "no training rows after validation split");
 
-  const Matrix val_x = gather_rows(inputs, order, n_train, order.size());
-  const Matrix val_y = gather_rows(targets, order, n_train, order.size());
-
   std::vector<std::size_t> train_idx(order.begin(),
                                      order.begin() + n_train);
 
@@ -72,6 +70,11 @@ TrainResult Trainer::fit(Mlp& model, const Matrix& inputs,
   double best_val = std::numeric_limits<double>::infinity();
   std::vector<float> best_weights = model.save_weights();
   std::size_t epochs_since_best = 0;
+
+  // Every buffer of a step lives here, sized by the first full batch.
+  TrainWorkspace ws;
+  Matrix batch_targets;
+  Matrix grad;
 
   for (std::size_t epoch = 0; epoch < config_.max_epochs; ++epoch) {
     rng.shuffle(train_idx);
@@ -84,20 +87,34 @@ TrainResult Trainer::fit(Mlp& model, const Matrix& inputs,
     for (std::size_t begin = 0; begin < n_train;
          begin += config_.batch_size) {
       const std::size_t end = std::min(begin + config_.batch_size, n_train);
-      const Matrix bx = gather_rows(inputs, train_idx, begin, end);
-      const Matrix by = gather_rows(targets, train_idx, begin, end);
+      gather_rows_into(inputs, train_idx, begin, end, ws.input);
+      gather_rows_into(targets, train_idx, begin, end, batch_targets);
 
       model.zero_grad();
-      const Matrix pred = model.forward(bx);
-      train_loss_acc += mse(pred, by);
+      const Matrix& pred = model.forward(ws);
+      train_loss_acc += mse(pred, batch_targets);
       ++train_batches;
-      model.backward(mse_gradient(pred, by));
+      mse_gradient_into(pred, batch_targets, grad);
+      model.backward(grad, ws);
       optimizer.step(lr);
     }
 
+    // Validation MSE over batch-sized chunks of the held-out rows, so the
+    // activations stay batch-sized; the chained sum is the whole-set mse().
+    double val_acc = 0.0;
+    for (std::size_t begin = n_train; begin < order.size();
+         begin += config_.batch_size) {
+      const std::size_t end =
+          std::min(begin + config_.batch_size, order.size());
+      gather_rows_into(inputs, order, begin, end, ws.input);
+      gather_rows_into(targets, order, begin, end, batch_targets);
+      val_acc = add_squared_errors(model.forward(ws), batch_targets, val_acc);
+    }
+    const double val_loss =
+        val_acc / static_cast<double>(n_val * targets.cols());
+
     const double train_loss =
         train_loss_acc / static_cast<double>(train_batches);
-    const double val_loss = evaluate(model, val_x, val_y);
     result.train_loss_history.push_back(train_loss);
     result.validation_loss_history.push_back(val_loss);
     result.epochs_run = epoch + 1;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "apps/app_database.hpp"
 #include "common/error.hpp"
 #include "sim/system_sim.hpp"
@@ -37,9 +40,11 @@ TEST(MigrationPenalty, RejectsNegativeIntensity) {
 
 // The paper's worst-case experiment: periodically migrating between the
 // clusters every 500 ms costs compute-bound apps well under 1% and
-// memory-bound apps a few percent.
+// memory-bound apps a few percent. The app name is held as a std::string so
+// that the printed parameter, and with it the registered test name, does not
+// carry a load address.
 class WorstCaseMigration : public ::testing::TestWithParam<
-                               std::pair<const char*, double>> {};
+                               std::pair<std::string, double>> {};
 
 TEST_P(WorstCaseMigration, OverheadWithinPaperBallpark) {
   const auto [app_name, max_overhead] = GetParam();

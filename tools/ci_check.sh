@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Clean-build CI check: configure a fresh build tree with strict warnings,
-# build everything, run the full test suite, repeat the tier-1 tests under
-# ASan+UBSan in a separate build tree, run the validation/determinism gate
+# build everything, run the full test suite and the repository benchmark's
+# own tests (perfbench/, a separate CMake project), repeat the tier-1 tests
+# under ASan+UBSan in a separate build tree, run the validation/determinism gate
 # (invariant-checked golden scenarios + serial-vs-parallel trace digests),
 # run a bounded differential-fuzzing campaign under the sanitizer build,
 # run the crash-recovery gate (SIGKILL a checkpointed run and a journaled
@@ -62,6 +63,15 @@ cmake --build "${build_dir}" -j "${jobs}"
 
 echo "== test"
 ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}"
+
+# The repository benchmark (perfbench/) is its own CMake project, so its
+# percentile, self-time and tracer tests are not in the ctest run above.
+perfbench_dir="${build_dir}-perfbench"
+echo "== perfbench tests (${perfbench_dir})"
+cmake -B "${perfbench_dir}" -S "${repo_root}/perfbench" \
+  -DCMAKE_CXX_FLAGS="-Wall -Wextra"
+cmake --build "${perfbench_dir}" --target perfbench_tests -j "${jobs}"
+"${perfbench_dir}/perfbench_tests"
 
 if [[ "${SANITIZE:-1}" != "0" ]]; then
   asan_dir="${SANITIZE_DIR:-"${build_dir}-asan"}"
