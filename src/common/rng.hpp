@@ -30,10 +30,15 @@ class Rng {
     return std::uniform_int_distribution<int>(lo, hi)(engine_);
   }
 
-  /// Gaussian with the given mean and standard deviation.
+  /// Gaussian with the given mean and standard deviation (0 allowed).
+  /// Scaling a standard draw is how libstdc++'s normal_distribution forms
+  /// `ret * stddev + mean` itself, so results and engine advances match
+  /// `normal_distribution(mean, stddev)` bit for bit, without its
+  /// stddev > 0 precondition.
   double gaussian(double mean, double stddev) {
     TOPIL_REQUIRE(stddev >= 0.0, "negative stddev");
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    return std::normal_distribution<double>(0.0, 1.0)(engine_) * stddev +
+           mean;
   }
 
   /// Exponential with the given rate (events per unit time).

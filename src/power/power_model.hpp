@@ -46,7 +46,10 @@ class PowerModel {
                          bool npu_active) const;
 
   /// Same, into a caller-owned breakdown (simulator hot path: the per-tick
-  /// result reuses the previous tick's vectors instead of allocating).
+  /// result reuses the previous tick's vectors instead of allocating, and
+  /// reads the constructor's precomputed per-level coefficients). Equal
+  /// bit for bit to `core_dynamic_w + core_leakage_w` per core and to the
+  /// uncore formula per cluster.
   void compute_into(const std::vector<std::size_t>& vf_levels,
                     const std::vector<double>& core_activity,
                     const std::vector<double>& core_temp_c, bool npu_active,
@@ -64,7 +67,26 @@ class PowerModel {
   const PlatformSpec& platform() const { return *platform_; }
 
  private:
+  /// Per-level constants of one cluster, precomputed by the constructor.
+  /// The products are the left-to-right prefixes of the reference
+  /// expressions `coeff * V * V * f * activity`, so multiplying by the
+  /// activity reproduces the reference grouping bit for bit.
+  struct LevelCoeffs {
+    double voltage_v = 0.0;
+    double dyn_vvf = 0.0;     ///< ((dyn_coeff * V) * V) * f
+    double uncore_vvf = 0.0;  ///< ((uncore_coeff * V) * V) * f
+  };
+  struct ClusterCoeffs {
+    CoreId first_core = 0;
+    std::size_t num_cores = 0;
+    double leak_g0 = 0.0;
+    double leak_g1 = 0.0;
+    double leak_tref = 0.0;
+    std::vector<LevelCoeffs> levels;
+  };
+
   const PlatformSpec* platform_;
+  std::vector<ClusterCoeffs> clusters_;
 };
 
 }  // namespace topil

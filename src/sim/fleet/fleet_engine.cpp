@@ -4,10 +4,57 @@
 
 namespace topil::fleet {
 
+void FleetEngine::Slab::step() {
+  prop->step_batched(temps, power, ambient, width, ws);
+}
+
+void FleetEngine::Slab::add_column(std::size_t lane_index,
+                                   const std::vector<double>& lane_temps,
+                                   double lane_ambient) {
+  TOPIL_REQUIRE(lane_temps.size() == n,
+                "fleet slab column temperature size mismatch");
+  const std::size_t w = width;
+  temps.resize(n * (w + 1));
+  power.resize(n * (w + 1));
+  // In-place stride repack w -> w+1, backwards: the write index never drops
+  // below the read index (i*(w+1)+s >= i*w+s), so descending iteration is
+  // safe. The appended column seeds temperatures from the lane and zero
+  // power, matching the construction-time slab fill bit-exactly.
+  for (std::size_t i = n; i-- > 0;) {
+    temps[i * (w + 1) + w] = lane_temps[i];
+    power[i * (w + 1) + w] = 0.0;
+    for (std::size_t s = w; s-- > 0;) {
+      temps[i * (w + 1) + s] = temps[i * w + s];
+      power[i * (w + 1) + s] = power[i * w + s];
+    }
+  }
+  ambient.push_back(lane_ambient);
+  lane_of_col.push_back(lane_index);
+  width = w + 1;
+}
+
+void FleetEngine::Slab::remove_column(std::size_t col) {
+  TOPIL_REQUIRE(col < width, "fleet slab column out of range");
+  const std::size_t w = width;
+  // In-place stride repack w -> w-1: the write index never passes the read
+  // index (i*(w-1)+s <= i*w+s), so forward iteration is safe.
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t s = 0; s + 1 < w; ++s) {
+      const std::size_t src = i * w + (s < col ? s : s + 1);
+      temps[i * (w - 1) + s] = temps[src];
+      power[i * (w - 1) + s] = power[src];
+    }
+  }
+  temps.resize(n * (w - 1));
+  power.resize(n * (w - 1));
+  ambient.erase(ambient.begin() + static_cast<std::ptrdiff_t>(col));
+  lane_of_col.erase(lane_of_col.begin() + static_cast<std::ptrdiff_t>(col));
+  width = w - 1;
+}
+
 FleetEngine::FleetEngine(std::vector<Lane> lanes) {
   TOPIL_REQUIRE(!lanes.empty(), "fleet engine needs at least one lane");
   lanes_.reserve(lanes.size());
-  fast_lanes_.reserve(lanes.size());
   for (Lane& lane : lanes) attach_lane(std::move(lane));
 }
 
@@ -19,55 +66,41 @@ std::size_t FleetEngine::attach_lane(Lane lane) {
   LaneState state;
   state.lane = std::move(lane);
   lanes_.push_back(std::move(state));
-  fast_lanes_.emplace_back();
   ++active_;
-  attach_fast_path(index);
+  if (lanes_[index].lane.sim->thermal().integrator() ==
+      ThermalIntegrator::Exponential) {
+    join_slab(index);
+  }
   return index;
 }
 
-void FleetEngine::attach_fast_path(std::size_t index) {
+void FleetEngine::join_slab(std::size_t index) {
   LaneState& state = lanes_[index];
   SystemSim& sim = *state.lane.sim;
-  if (sim.thermal().integrator() != ThermalIntegrator::Exponential) {
-    return;  // Heun lanes run the scalar reference path.
-  }
-  state.fast = true;
-
-  const PlatformSpec* platform = &sim.platform();
-  auto [table_it, table_new] = tables_.try_emplace(platform);
-  if (table_new) {
-    table_it->second.tables = std::make_unique<PlatformTables>(*platform);
-  }
-  ++table_it->second.live;
-
   const std::shared_ptr<const ThermalPropagator> prop =
       sim.thermal().propagator_for(sim.config().tick_s);
   const Floorplan& fp = sim.thermal().floorplan();
-  auto [group_it, group_new] =
-      group_of_.emplace(prop.get(), fast_groups_.size());
-  if (group_new) {
-    FastGroup group;
-    group.prop = prop;
-    group.n = sim.thermal().node_temps_c().size();
-    group.core_rows = fp.core_nodes;
-    group.cluster_rows = fp.cluster_nodes;
-    group.npu_row = fp.npu_node;
-    fast_groups_.push_back(std::move(group));
+  auto [it, is_new] = slab_of_.emplace(prop.get(), slabs_.size());
+  if (is_new) {
+    Slab slab;
+    slab.prop = prop;
+    slab.n = sim.thermal().node_temps_c().size();
+    slab.core_rows = fp.core_nodes;
+    slab.cluster_rows = fp.cluster_nodes;
+    slab.npu_row = fp.npu_node;
+    slabs_.push_back(std::move(slab));
   }
-  FastGroup& group = fast_groups_[group_it->second];
+  Slab& slab = slabs_[it->second];
   // A shared propagator means an identical RC network, but the heat-input
   // row mapping lives in the floorplan — require it to match too.
-  TOPIL_REQUIRE(fp.core_nodes == group.core_rows &&
-                    fp.cluster_nodes == group.cluster_rows &&
-                    fp.npu_node == group.npu_row,
-                "fleet group lanes disagree on floorplan node layout");
-
-  FastLane& fast = fast_lanes_[index];
-  fast.group = group_it->second;
-  fast.col = group.width;
-  group.add_column(index, sim.thermal().node_temps_c(),
-                   sim.thermal().cooling().ambient_c);
-  fast_lane_init(sim, fast, *table_it->second.tables);
+  TOPIL_REQUIRE(fp.core_nodes == slab.core_rows &&
+                    fp.cluster_nodes == slab.cluster_rows &&
+                    fp.npu_node == slab.npu_row,
+                "fleet slab lanes disagree on floorplan node layout");
+  state.slab = it->second;
+  state.col = slab.width;
+  slab.add_column(index, sim.thermal().node_temps_c(),
+                  sim.thermal().cooling().ambient_c);
 }
 
 void FleetEngine::set_tick_barrier(std::function<void()> barrier) {
@@ -89,41 +122,28 @@ void FleetEngine::retire_lane(std::size_t index) {
   LaneState& state = lanes_[index];
   state.active = false;
   --active_;
-  if (!state.fast) return;
-  FastLane& fast = fast_lanes_[index];
-  FastGroup& group = fast_groups_[fast.group];
-  group.remove_column(fast.col);
-  for (std::size_t s = fast.col; s < group.width; ++s) {
-    fast_lanes_[group.lane_of_col[s]].col = s;
+  if (state.slab == kNoSlab) return;
+  Slab& slab = slabs_[state.slab];
+  slab.remove_column(state.col);
+  for (std::size_t s = state.col; s < slab.width; ++s) {
+    lanes_[slab.lane_of_col[s]].col = s;
   }
-  // Release the platform tables with their last lane: the PlatformSpec is
-  // caller-owned and may be destroyed (and its address recycled by a later
-  // tenant) once the lane is gone, so a stale entry must not linger.
-  fast.tables = nullptr;
-  auto it = tables_.find(&state.lane.sim->platform());
-  TOPIL_REQUIRE(it != tables_.end() && it->second.live > 0,
-                "fleet lane platform tables missing at retirement");
-  if (--it->second.live == 0) tables_.erase(it);
 }
 
 std::vector<std::size_t> FleetEngine::compact() {
   std::vector<std::size_t> remap(lanes_.size(), kRemovedLane);
   std::vector<LaneState> kept;
-  std::vector<FastLane> kept_fast;
   kept.reserve(active_);
-  kept_fast.reserve(active_);
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     if (!lanes_[i].active) continue;
     remap[i] = kept.size();
     kept.push_back(std::move(lanes_[i]));
-    kept_fast.push_back(std::move(fast_lanes_[i]));
   }
   lanes_ = std::move(kept);
-  fast_lanes_ = std::move(kept_fast);
   // Retirement already repacked retired lanes out of every slab, so the
-  // surviving groups only reference surviving lanes.
-  for (FastGroup& group : fast_groups_) {
-    for (std::size_t& lane : group.lane_of_col) lane = remap[lane];
+  // surviving slabs only reference surviving lanes.
+  for (Slab& slab : slabs_) {
+    for (std::size_t& lane : slab.lane_of_col) lane = remap[lane];
   }
   return remap;
 }
@@ -131,53 +151,67 @@ std::vector<std::size_t> FleetEngine::compact() {
 std::size_t FleetEngine::step() {
   if (active_ == 0) return 0;
 
-  // Phase 1: per-lane loop head + first tick half, in lane order. A lane
-  // retiring here repacks its group's slab before the group steps.
+  // Phase 1: per-lane loop head + first tick half, in lane order; a slab
+  // lane then scatters its block powers into its column (plain stores:
+  // each block owns its node, and rows without heat input stay zero). A
+  // lane retiring here repacks its slab before the slab steps.
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     LaneState& state = lanes_[i];
     state.ticking = false;
     if (!state.active) continue;
-    if (!state.lane.pre_tick(*state.lane.sim)) {
+    SystemSim& sim = *state.lane.sim;
+    if (!state.lane.pre_tick(sim)) {
       retire_lane(i);
       continue;
     }
-    if (state.fast) {
-      FastLane& fast = fast_lanes_[i];
-      fast_tick_begin(*state.lane.sim, fast, fast_groups_[fast.group]);
-    } else {
-      state.lane.sim->tick_begin(state.scratch);
-    }
+    sim.tick_begin();
     state.ticking = true;
+    if (state.slab == kNoSlab) continue;
+    const PowerBreakdown& p = sim.last_power();
+    Slab& slab = slabs_[state.slab];
+    const std::size_t w = slab.width;
+    for (std::size_t c = 0; c < slab.core_rows.size(); ++c) {
+      slab.power[slab.core_rows[c] * w + state.col] = p.core_w[c];
+    }
+    for (std::size_t c = 0; c < slab.cluster_rows.size(); ++c) {
+      slab.power[slab.cluster_rows[c] * w + state.col] = p.uncore_w[c];
+    }
+    if (slab.npu_row != kNoNode) {
+      slab.power[slab.npu_row * w + state.col] = p.npu_w;
+    }
   }
 
   // Phase 2: cross-lane barrier (NPU inference aggregation).
   if (barrier_) barrier_();
 
-  // Phase 3: thermal advance — one matrix-matrix product per group for
-  // the fast lanes, scalar steps for the rest.
-  for (FastGroup& group : fast_groups_) {
-    if (group.width == 0) continue;
-    group.step();
-    batched_ticks_ += group.width;
+  // Phase 3: thermal advance — one matrix-matrix product per slab, scalar
+  // steps for the Heun lanes.
+  for (Slab& slab : slabs_) {
+    if (slab.width == 0) continue;
+    slab.step();
+    batched_ticks_ += slab.width;
   }
   for (LaneState& state : lanes_) {
-    if (!state.ticking || state.fast) continue;
+    if (!state.ticking || state.slab != kNoSlab) continue;
     SystemSim& sim = *state.lane.sim;
     sim.thermal().step(sim.last_power(), sim.config().tick_s);
     ++scalar_ticks_;
   }
 
-  // Phase 4: per-lane second tick half + observers, in lane order.
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    LaneState& state = lanes_[i];
+  // Phase 4: per-lane gather of the stepped slab column, second tick half
+  // and observers, in lane order.
+  for (LaneState& state : lanes_) {
     if (!state.ticking) continue;
-    if (state.fast) {
-      FastLane& fast = fast_lanes_[i];
-      fast_tick_finish(*state.lane.sim, fast, fast_groups_[fast.group]);
-    } else {
-      state.lane.sim->tick_finish(state.scratch);
+    SystemSim& sim = *state.lane.sim;
+    if (state.slab != kNoSlab) {
+      const Slab& slab = slabs_[state.slab];
+      std::vector<double>& temps = sim.thermal().mutable_node_temps_c();
+      for (std::size_t i = 0; i < slab.n; ++i) {
+        temps[i] = slab.temps[i * slab.width + state.col];
+      }
     }
-    if (state.lane.post_tick) state.lane.post_tick(*state.lane.sim);
+    sim.tick_finish();
+    if (state.lane.post_tick) state.lane.post_tick(sim);
   }
   return active_;
 }

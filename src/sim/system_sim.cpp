@@ -162,7 +162,8 @@ void SystemSim::retire_finished() {
   }
 }
 
-void SystemSim::tick_begin(TickScratch& scratch) {
+void SystemSim::tick_begin() {
+  TickScratch& scratch = scratch_;
   const double dt = config_.tick_s;
   const double t_end = now_ + dt;
 
@@ -175,15 +176,25 @@ void SystemSim::tick_begin(TickScratch& scratch) {
     scratch.per_core[proc.core()].push_back(&proc);
   }
 
+  // Effective VF level once per cluster: the DTM clamp's inputs (requested
+  // level, DTM cap) cannot change within a tick, so one evaluation serves
+  // execution, the power model and the metrics.
+  scratch.levels.resize(platform_->num_clusters());
+  for (ClusterId c = 0; c < platform_->num_clusters(); ++c) {
+    scratch.levels[c] = vf_level(c);
+  }
+
   // 2. Execute: each core's processes share it fairly; governor overhead
   //    consumes capacity on its host core first.
   scratch.core_activity.assign(platform_->num_cores(), 0.0);
   scratch.busy_per_cluster.assign(platform_->num_clusters(), 0);
+  scratch.any_finished = false;
   const bool npu_on = npu_active();
 
   for (CoreId core = 0; core < platform_->num_cores(); ++core) {
     const ClusterId cluster = platform_->cluster_of_core(core);
-    const double f = freq_ghz(cluster);
+    const double f =
+        platform_->cluster(cluster).vf.at(scratch.levels[cluster]).freq_ghz;
 
     const double overhead = std::min(pending_overhead_[core], dt);
     pending_overhead_[core] -= overhead;
@@ -197,6 +208,7 @@ void SystemSim::tick_begin(TickScratch& scratch) {
       const double share = capacity / static_cast<double>(procs.size());
       for (Process* proc : procs) {
         proc->execute(cluster, f, share, t_end);
+        scratch.any_finished |= proc->finished();
         scratch.core_activity[core] += (share / dt) * proc->activity(cluster);
       }
       busy_fraction = 1.0;
@@ -218,15 +230,11 @@ void SystemSim::tick_begin(TickScratch& scratch) {
   for (CoreId c = 0; c < platform_->num_cores(); ++c) {
     scratch.core_temps[c] = thermal_.core_temp_c(c);
   }
-  scratch.levels.resize(platform_->num_clusters());
-  for (ClusterId c = 0; c < platform_->num_clusters(); ++c) {
-    scratch.levels[c] = vf_level(c);
-  }
   power_model_.compute_into(scratch.levels, scratch.core_activity,
                             scratch.core_temps, npu_on, last_power_);
 }
 
-void SystemSim::tick_finish(TickScratch& scratch) {
+void SystemSim::tick_finish() {
   const double dt = config_.tick_s;
 
   // 4. DTM and sensor observe the new state.
@@ -239,25 +247,27 @@ void SystemSim::tick_finish(TickScratch& scratch) {
   }
   sensor_reading_ = sensor_.observe(now_, max_core_temp);
 
-  // 5. QoS accounting, metrics, and process retirement.
+  // 5. QoS accounting, metrics, and process retirement. Processes finish
+  //    only inside execute, and every tick that finishes one retires it,
+  //    so scanning only when this tick's flag is set is the same map
+  //    evolution as scanning every tick.
   for (auto& [pid, proc] : processes_) {
     if (!proc.finished()) {
       proc.account_qos(now_, dt, config_.qos.grace_s,
                        config_.qos.tolerance);
     }
   }
-  metrics_.on_tick(now_, dt, max_core_temp, scratch.levels,
-                   scratch.busy_per_cluster);
-  retire_finished();
+  metrics_.on_tick(now_, dt, max_core_temp, scratch_.levels,
+                   scratch_.busy_per_cluster);
+  if (scratch_.any_finished) retire_finished();
   ++tick_index_;
   if (monitor_ != nullptr) monitor_->on_tick(*this);
 }
 
 void SystemSim::step() {
-  TickScratch scratch;
-  tick_begin(scratch);
+  tick_begin();
   thermal_.step(last_power_, config_.tick_s);
-  tick_finish(scratch);
+  tick_finish();
 }
 
 void SystemSim::run_for(double duration_s) {

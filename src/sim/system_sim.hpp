@@ -20,9 +20,6 @@
 
 namespace topil {
 
-namespace fleet {
-struct SimAccess;
-}
 namespace persist {
 struct SnapshotAccess;
 }
@@ -61,10 +58,10 @@ struct SimConfig {
   /// Exponential does one precomputed matvec per tick (bench default).
   ThermalIntegrator integrator = ThermalIntegrator::Heun;
   /// Lockstep lane count for fleet-capable drivers (fleet::run_experiments
-  /// and the layers built on it — DAgger rollouts, fuzz campaigns). 1 runs
-  /// the scalar reference path; N > 1 steps up to N simulations in SoA
-  /// lockstep per worker. The simulator itself ignores the flag — batched
-  /// and scalar runs are bit-identical by construction (DESIGN.md §10).
+  /// and the layers built on it — DAgger rollouts, fuzz campaigns): up to
+  /// N simulations step in SoA lockstep per worker. The simulator itself
+  /// ignores the flag — every lane runs this class's own tick and only the
+  /// thermal advance is batched, bit-identically (DESIGN.md §10).
   std::size_t fleet_batch = 1;
   std::uint64_t seed = 1;
 };
@@ -145,30 +142,17 @@ class SystemSim {
 
   // --- split-phase stepping (fleet engine) ---
 
-  /// Reusable per-tick buffers for the split-phase step. A `step()` is
-  /// exactly `tick_begin(s); thermal().step(last_power(), tick_s);
-  /// tick_finish(s)` — the split exists so the fleet engine can interleave
-  /// phase boundaries across many simulations and replace the per-lane
-  /// thermal matvec with one batched matrix-matrix product. Lanes keep one
-  /// scratch alive across ticks, which also removes every per-tick heap
-  /// allocation of the scalar path (the dominant scalar cost; see
-  /// bench/perf_fleet).
-  struct TickScratch {
-    std::vector<std::vector<Process*>> per_core;
-    std::vector<double> core_activity;
-    std::vector<std::size_t> busy_per_cluster;
-    std::vector<double> core_temps;
-    std::vector<std::size_t> levels;
-  };
-
   /// Phases 1-3a of a tick: process execution, utilization EWMA, and the
-  /// power-model update (fills `last_power()`). The caller must follow
-  /// with exactly one thermal advance by `config().tick_s` and then
-  /// `tick_finish` with the same scratch.
-  void tick_begin(TickScratch& scratch);
+  /// power-model update (fills `last_power()`). A `step()` is exactly
+  /// `tick_begin(); thermal().step(last_power(), tick_s); tick_finish()`;
+  /// the split lets the fleet engine interleave phase boundaries across
+  /// many simulations and replace the per-lane thermal matvec with one
+  /// batched matrix-matrix product. The caller must follow with exactly
+  /// one thermal advance by `config().tick_s` and then `tick_finish`.
+  void tick_begin();
   /// Phases 4-5: clock advance, DTM/sensor observation, QoS accounting,
   /// metrics, retirement, and the monitor callback.
-  void tick_finish(TickScratch& scratch);
+  void tick_finish();
 
   // --- evaluation-only access (not visible to governors) ---
 
@@ -191,10 +175,6 @@ class SystemSim {
   SimMonitor* monitor() const { return monitor_; }
 
  private:
-  // The fleet engine's fused lane tick (sim/fleet/lane_tick.cpp) is a
-  // bit-exact re-implementation of tick_begin/tick_finish over this state;
-  // all of its private access goes through the SimAccess gateway.
-  friend struct fleet::SimAccess;
   // Checkpoint/restore (src/persist/snapshot.cpp) serializes this state.
   friend struct persist::SnapshotAccess;
 
@@ -220,6 +200,20 @@ class SystemSim {
   PowerBreakdown last_power_;
   std::uint64_t tick_index_ = 0;
   SimMonitor* monitor_ = nullptr;
+
+  /// Per-tick buffers shared by tick_begin and tick_finish. Every field is
+  /// rewritten by tick_begin before use, so the scratch carries no state
+  /// between ticks (snapshots skip it); keeping it alive only keeps the
+  /// steady-state tick free of heap allocation.
+  struct TickScratch {
+    std::vector<std::vector<Process*>> per_core;
+    std::vector<double> core_activity;
+    std::vector<std::size_t> busy_per_cluster;
+    std::vector<double> core_temps;
+    std::vector<std::size_t> levels;  ///< effective VF level per cluster
+    bool any_finished = false;        ///< some process finished this tick
+  };
+  TickScratch scratch_;
 
   Process& mutable_process(Pid pid);
   void retire_finished();

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <numeric>
+#include <random>
+#include <utility>
 
 namespace topil {
 namespace {
@@ -63,6 +67,41 @@ TEST(Rng, GaussianMatchesMoments) {
   const double var = sq / n - mean * mean;
   EXPECT_NEAR(mean, 3.0, 0.1);
   EXPECT_NEAR(var, 4.0, 0.25);
+}
+
+std::uint64_t bits_of(double x) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+TEST(Rng, GaussianMatchesNormalDistributionBitForBit) {
+  const std::pair<double, double> params[] = {
+      {0.0, 1.0}, {3.0, 2.0}, {-1.5, 0.25}, {1e6, 1e-3}, {-0.0, 5.0}};
+  for (std::uint64_t seed : {1ull, 42ull, 0x9e3779b97f4a7c15ull}) {
+    Rng rng(seed);
+    for (int i = 0; i < 200; ++i) {
+      for (const auto& [mean, stddev] : params) {
+        std::mt19937_64 ref = rng.engine();
+        const double want =
+            std::normal_distribution<double>(mean, stddev)(ref);
+        const double got = rng.gaussian(mean, stddev);
+        ASSERT_EQ(bits_of(got), bits_of(want))
+            << "seed " << seed << " draw " << i << " N(" << mean << ", "
+            << stddev << ")";
+        ASSERT_TRUE(rng.engine() == ref) << "engine advance differs";
+      }
+    }
+  }
+}
+
+TEST(Rng, GaussianZeroStddevReturnsMeanAndAdvancesAsUsual) {
+  Rng zero(77);
+  Rng unit(77);
+  EXPECT_EQ(zero.gaussian(2.5, 0.0), 2.5);
+  unit.gaussian(2.5, 1.0);
+  EXPECT_TRUE(zero.engine() == unit.engine());
+  EXPECT_EQ(bits_of(zero.gaussian(1.0, 3.0)), bits_of(unit.gaussian(1.0, 3.0)));
 }
 
 TEST(Rng, ExponentialMeanIsInverseRate) {

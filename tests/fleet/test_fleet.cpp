@@ -18,6 +18,7 @@
 #include "sim/fleet/batch_runner.hpp"
 #include "sim/fleet/fleet_engine.hpp"
 #include "validate/digest_monitor.hpp"
+#include "validate/state_digest.hpp"
 #include "workloads/generator.hpp"
 
 namespace topil {
@@ -291,6 +292,120 @@ TEST(FleetEngine, GridFloorplanStaysBitExact) {
       EXPECT_EQ(a[i], b[i]) << "lane " << s << " node " << i;
     }
     EXPECT_EQ(scalar[s].sensor_temp_c(), fleet_sims[s].sensor_temp_c()) << s;
+  }
+}
+
+// --- mixed integrators: Heun and slab lanes in one engine ---------------
+
+// Deterministic per-simulation driver: short apps that finish within a
+// few dozen ticks (so retirement runs mid-run), DVFS requests, governor
+// overhead and a migration, all keyed on the simulation's own tick.
+void drive_mixed_lane(SystemSim& sim, const AppSpec& short_app) {
+  const std::uint64_t t = sim.tick_index();
+  if (t % 25 == 0) {
+    sim.spawn(short_app, 1e8, static_cast<CoreId>((t / 25) % 8));
+  }
+  if (t % 40 == 10) {
+    sim.request_vf_level(kBigCluster, (t / 40) % 5);
+    sim.request_vf_level(kLittleCluster, (t / 40 + 2) % 5);
+  }
+  if (t % 60 == 30) sim.charge_overhead("mixed", 0.004, 3);
+  if (t % 50 == 20 && sim.num_running() > 0) {
+    sim.migrate(sim.running_pids().front(), static_cast<CoreId>(t % 8));
+  }
+}
+
+TEST(FleetEngine, MixedIntegratorLanesMatchSoloTwins) {
+  const PlatformSpec platform = PlatformSpec::hikey970();
+  const AppSpec short_app = make_single_phase_app(
+      "short", 4e7, {2.0, 0.1, 0.9}, {1.0, 0.05, 1.0}, 0.02, false);
+  const AppSpec& long_app = AppDatabase::instance().by_name("swaptions");
+
+  constexpr std::size_t kLanes = 4;
+  constexpr std::size_t kTicks = 300;
+  constexpr std::size_t kAttachAt = 100;  // lane 3 joins mid-run
+  const auto make_config = [](std::size_t s) {
+    SimConfig c;
+    c.seed = 500 + s;
+    c.integrator = s == 0 ? ThermalIntegrator::Heun
+                          : ThermalIntegrator::Exponential;
+    return c;
+  };
+  const auto ticks_of = [](std::size_t s) {
+    return s == 3 ? kTicks - kAttachAt : kTicks;
+  };
+
+  std::deque<SystemSim> solo;
+  for (std::size_t s = 0; s < kLanes; ++s) {
+    solo.emplace_back(platform, CoolingConfig::fan(), make_config(s));
+    solo.back().spawn(long_app, 1e8, 4 + s);
+    for (std::size_t t = 0; t < ticks_of(s); ++t) {
+      drive_mixed_lane(solo.back(), short_app);
+      solo.back().step();
+    }
+  }
+
+  std::deque<SystemSim> sims;
+  const auto make_lane = [&](std::size_t s) {
+    sims.emplace_back(platform, CoolingConfig::fan(), make_config(s));
+    sims.back().spawn(long_app, 1e8, 4 + s);
+    fleet::FleetEngine::Lane lane;
+    lane.sim = &sims.back();
+    lane.pre_tick = [&short_app](SystemSim& sim) {
+      drive_mixed_lane(sim, short_app);
+      return true;
+    };
+    return lane;
+  };
+  std::vector<fleet::FleetEngine::Lane> lanes;
+  for (std::size_t s = 0; s < 3; ++s) lanes.push_back(make_lane(s));
+  fleet::FleetEngine engine(std::move(lanes));
+  for (std::size_t t = 0; t < kTicks; ++t) {
+    if (t == kAttachAt) engine.attach_lane(make_lane(3));
+    engine.step();
+  }
+
+  EXPECT_EQ(engine.scalar_thermal_lane_ticks(), kTicks);
+  EXPECT_EQ(engine.batched_thermal_lane_ticks(),
+            2 * kTicks + (kTicks - kAttachAt));
+  for (std::size_t s = 0; s < kLanes; ++s) {
+    const SystemSim& a = solo[s];
+    const SystemSim& b = sims[s];
+    const std::string label = "lane " + std::to_string(s);
+    EXPECT_EQ(a.tick_index(), ticks_of(s)) << label;
+    EXPECT_EQ(b.tick_index(), a.tick_index()) << label;
+    ASSERT_EQ(a.thermal().node_temps_c().size(),
+              b.thermal().node_temps_c().size());
+    for (std::size_t i = 0; i < a.thermal().node_temps_c().size(); ++i) {
+      EXPECT_EQ(a.thermal().node_temps_c()[i], b.thermal().node_temps_c()[i])
+          << label << " node " << i;
+    }
+    EXPECT_EQ(a.sensor_temp_c(), b.sensor_temp_c()) << label;
+    EXPECT_EQ(validate::tick_state_digest(a), validate::tick_state_digest(b))
+        << label;
+
+    const Metrics& ma = a.metrics();
+    const Metrics& mb = b.metrics();
+    // Every lane must really have retired processes mid-run.
+    EXPECT_GE(ma.completed().size(), 3u) << label;
+    ASSERT_EQ(ma.completed().size(), mb.completed().size()) << label;
+    for (std::size_t k = 0; k < ma.completed().size(); ++k) {
+      EXPECT_EQ(ma.completed()[k].pid, mb.completed()[k].pid) << label;
+      EXPECT_EQ(ma.completed()[k].finish_time, mb.completed()[k].finish_time)
+          << label;
+      EXPECT_EQ(ma.completed()[k].average_ips, mb.completed()[k].average_ips)
+          << label;
+      EXPECT_EQ(ma.completed()[k].below_target_fraction,
+                mb.completed()[k].below_target_fraction)
+          << label;
+    }
+    EXPECT_EQ(ma.average_temp_c(), mb.average_temp_c()) << label;
+    EXPECT_EQ(ma.peak_temp_c(), mb.peak_temp_c()) << label;
+    EXPECT_EQ(ma.total_cpu_time_s(), mb.total_cpu_time_s()) << label;
+    EXPECT_EQ(ma.average_utilization(), mb.average_utilization()) << label;
+    EXPECT_EQ(ma.throttle_events(), mb.throttle_events()) << label;
+    EXPECT_EQ(ma.overhead_s("mixed"), mb.overhead_s("mixed")) << label;
+    EXPECT_EQ(ma.duration_s(), mb.duration_s()) << label;
   }
 }
 

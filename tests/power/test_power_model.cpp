@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "platform/topology.hpp"
+
 namespace topil {
 namespace {
 
@@ -124,6 +129,76 @@ TEST_F(PowerModelTest, ValidatesInputSizes) {
   EXPECT_THROW(model_.compute(levels(0, 0), negative, uniform_temp(25.0),
                               false),
                InvalidArgument);
+}
+
+// compute_into reads per-level coefficients precomputed by the
+// constructor; it must agree bit for bit with the per-core reference
+// formulas for every cluster and VF level, including activities below the
+// idle floor and temperatures cold enough to clamp leakage to zero.
+TEST(PowerModelCoefficients, ComputeIntoMatchesReferenceFormulas) {
+  const std::vector<std::pair<std::string, PlatformSpec>> platforms = {
+      {"hikey970", PlatformSpec::hikey970()},
+      {"three_tier", TopologySpec::three_tier().build()},
+      {"many_core_grid", TopologySpec::many_core_grid(4, 4, 3).build()}};
+  const double activities[] = {0.0, 0.005, PowerModel::kIdleActivityFloor,
+                               0.3, 1.0, 1.2};
+  for (const auto& [name, platform] : platforms) {
+    const PowerModel model(platform);
+    std::size_t max_levels = 0;
+    for (ClusterId c = 0; c < platform.num_clusters(); ++c) {
+      max_levels = std::max(max_levels, platform.cluster(c).vf.num_levels());
+    }
+    for (std::size_t step = 0; step < max_levels; ++step) {
+      std::vector<std::size_t> levels(platform.num_clusters());
+      for (ClusterId c = 0; c < platform.num_clusters(); ++c) {
+        levels[c] = std::min(step, platform.cluster(c).vf.num_levels() - 1);
+      }
+      for (const std::size_t cold_parity : {0u, 1u}) {
+        std::vector<double> activity(platform.num_cores());
+        std::vector<double> temp(platform.num_cores());
+        for (CoreId core = 0; core < platform.num_cores(); ++core) {
+          const PowerCoefficients& p =
+              platform.cluster(platform.cluster_of_core(core)).power;
+          activity[core] = activities[(core + step) % std::size(activities)];
+          // Every other core (alternating between the two passes) sits far
+          // enough below the leakage reference that the linear leakage
+          // term goes negative and clamps to 0.
+          const double cold_c = p.leak_tref_c -
+                                2.0 * p.leak_g0_w_per_v / p.leak_g1_w_per_v_k -
+                                10.0;
+          temp[core] = (core + step) % 2 == cold_parity
+                           ? cold_c
+                           : 25.0 + 7.0 * static_cast<double>(core % 10);
+        }
+        const PowerBreakdown out =
+            model.compute(levels, activity, temp, false);
+        bool saw_clamp = false;
+        for (ClusterId c = 0; c < platform.num_clusters(); ++c) {
+          const ClusterSpec& spec = platform.cluster(c);
+          const VFPoint& vf = spec.vf.at(levels[c]);
+          double activity_sum = 0.0;
+          for (CoreId core : platform.cores_of_cluster(c)) {
+            const double leak = model.core_leakage_w(c, levels[c], temp[core]);
+            saw_clamp |= leak == 0.0;
+            EXPECT_EQ(out.core_w[core],
+                      model.core_dynamic_w(c, levels[c], activity[core]) +
+                          leak)
+                << name << " core " << core << " level " << levels[c];
+            activity_sum += activity[core];
+          }
+          const double uncore_activity = std::min(
+              1.0,
+              std::max(activity_sum / static_cast<double>(spec.num_cores),
+                       PowerModel::kIdleActivityFloor));
+          EXPECT_EQ(out.uncore_w[c], spec.power.uncore_coeff_w * vf.voltage_v *
+                                         vf.voltage_v * vf.freq_ghz *
+                                         uncore_activity)
+              << name << " cluster " << c << " level " << levels[c];
+        }
+        EXPECT_TRUE(saw_clamp) << name;
+      }
+    }
+  }
 }
 
 }  // namespace

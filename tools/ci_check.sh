@@ -2,7 +2,8 @@
 # Clean-build CI check: configure a fresh build tree with strict warnings,
 # build everything, run the full test suite and the repository benchmark's
 # own tests (perfbench/, a separate CMake project), repeat the tier-1 tests
-# under ASan+UBSan in a separate build tree, run the validation/determinism gate
+# under ASan+UBSan (with libstdc++'s -D_GLIBCXX_ASSERTIONS precondition
+# checks) in a separate build tree, run the validation/determinism gate
 # (invariant-checked golden scenarios + serial-vs-parallel trace digests),
 # run a bounded differential-fuzzing campaign under the sanitizer build,
 # run the crash-recovery gate (SIGKILL a checkpointed run and a journaled
@@ -79,7 +80,7 @@ if [[ "${SANITIZE:-1}" != "0" ]]; then
   echo "== configure ASan+UBSan (${asan_dir})"
   cmake -B "${asan_dir}" -S "${repo_root}" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-Wall -Wextra ${san_flags}" \
+    -DCMAKE_CXX_FLAGS="-Wall -Wextra -D_GLIBCXX_ASSERTIONS ${san_flags}" \
     -DCMAKE_EXE_LINKER_FLAGS="${san_flags}"
 
   echo "== build ASan+UBSan (-j ${jobs})"
