@@ -9,7 +9,6 @@
 #include "common/thread_pool.hpp"
 #include "il/trace_collector.hpp"
 #include "npu/compiled_model.hpp"
-#include "npu/inference_backend.hpp"
 #include "nn/trainer.hpp"
 #include "sim/system_sim.hpp"
 #include "thermal/rc_network.hpp"
@@ -234,10 +233,12 @@ void BM_TrainerFit(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainerFit)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// Fused fp16 dense forward (the inference backends' kernel) vs the scalar
-// reference, over ragged shapes with tail rows/cols. Args: {rows, in, out,
-// engine} with engine 0 = scalar reference path, 1 = CpuSimdBackend.
-// Outputs are bit-identical; only throughput differs.
+// Fused fp16 dense forward (the host inference engine,
+// CompiledModel::infer_batched_into) vs the scalar reference, over ragged
+// shapes with tail rows/cols and the batch curve of a 64x64 policy-net
+// layer (batch 1..256). Args: {rows, in, out, engine} with engine 0 = the
+// scalar reference path, 1 = the engine. Outputs are bit-identical; only
+// throughput differs.
 void BM_Fp16Gemm(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));
   const auto in = static_cast<std::size_t>(state.range(1));
@@ -254,12 +255,12 @@ void BM_Fp16Gemm(benchmark::State& state) {
   nn::Matrix input(rows, in, 0.3f);
   nn::Matrix out;
   nn::InferenceWorkspace ws;
-  npu::CpuSimdBackend backend;
   for (auto _ : state) {
     if (simd) {
-      backend.infer(compiled, input, out, ws);
-    } else {
       compiled.infer_batched_into(input, out, ws);
+    } else {
+      compiled.network().predict_into(input, out, ws,
+                                      nn::InferenceKernel::Scalar);
     }
     benchmark::DoNotOptimize(out.data());
   }
@@ -276,7 +277,13 @@ BENCHMARK(BM_Fp16Gemm)
     ->Args({64, 33, 17, 0})
     ->Args({64, 33, 17, 1})
     ->Args({64, 61, 3, 0})
-    ->Args({64, 61, 3, 1});
+    ->Args({64, 61, 3, 1})
+    ->Args({1, 64, 64, 0})
+    ->Args({1, 64, 64, 1})
+    ->Args({4, 64, 64, 0})
+    ->Args({4, 64, 64, 1})
+    ->Args({256, 64, 64, 0})
+    ->Args({256, 64, 64, 1});
 
 // Trace collection fanned out over the worker pool; Arg is the --jobs
 // value (1 = the serial reference path). Outputs are bit-identical across

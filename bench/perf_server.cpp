@@ -8,7 +8,6 @@
 // percentiles into BENCH_server.json.
 //
 //   perf_server [--smoke] [--jobs N] [--json FILE] [--validate]
-//               [--backend npu|cpu_simd|auto]
 //
 // --smoke shrinks the fleet for CI (and keeps validation on either way —
 // the soak IS the gate). --jobs sets the shard count (>= 4 enforced by

@@ -105,27 +105,15 @@ BenchOptions parse_bench_args(int argc, char** argv) {
       }
     } else if (std::strcmp(arg, "--validate") == 0) {
       options.validate = true;
-    } else if (std::strcmp(arg, "--backend") == 0) {
-      const char* value = next_value("--backend");
-      try {
-        options.backend = npu::parse_backend_kind(value);
-      } catch (const InvalidArgument&) {
-        std::fprintf(stderr,
-                     "%s: --backend expects npu, cpu_simd or auto, got %s\n",
-                     argv[0], value);
-        std::exit(2);
-      }
     } else {
       std::fprintf(stderr,
                    "%s: unknown argument %s\n"
                    "usage: %s [--jobs N] [--json FILE] "
-                   "[--integrator heun|exp] [--validate] "
-                   "[--backend npu|cpu_simd|auto]\n",
+                   "[--integrator heun|exp] [--validate]\n",
                    argv[0], arg, argv[0]);
       std::exit(2);
     }
   }
-  npu::set_active_backend(options.backend);
   const std::size_t hardware = std::thread::hardware_concurrency();
   if (hardware > 0 && options.jobs > hardware) {
     std::fprintf(stderr,

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "il/runtime_features.hpp"
-#include "npu/inference_backend.hpp"
 #include "persist/snapshot.hpp"
 #include "sim/perf_counters.hpp"
 
@@ -12,12 +11,6 @@ namespace topil {
 namespace {
 constexpr const char* kModelName = "topil-policy";
 constexpr const char* kOverheadComponent = "migration";
-
-npu::NpuCostModel governor_cost_model(const TopIlGovernor::Config& config) {
-  npu::NpuCostModel cost = npu::NpuCostModel::from_legacy(config.npu_latency);
-  cost.queueing = config.npu_queueing;
-  return cost;
-}
 }  // namespace
 
 TopIlGovernor::TopIlGovernor(il::IlPolicyModel model)
@@ -27,7 +20,7 @@ TopIlGovernor::TopIlGovernor(il::IlPolicyModel model, Config config)
     : model_(std::move(model)),
       config_(config),
       compiled_(npu::CompiledModel::compile(model_.network())),
-      npu_(std::make_shared<npu::NpuDevice>(governor_cost_model(config))),
+      npu_(std::make_shared<npu::NpuDevice>(config.npu_cost)),
       hiai_(npu_),
       dvfs_(config.dvfs) {
   TOPIL_REQUIRE(config.migration_period_s > 0.0,
@@ -72,7 +65,7 @@ void TopIlGovernor::start_migration_epoch(SystemSim& sim) {
                         config_.cpu_inference.latency_s(
                             batch.rows(), compiled_.macs_per_row()));
     model_.network().predict_into(batch, cpu_ratings_, cpu_ws_,
-                                  npu::host_kernel_for(batch.rows()));
+                                  nn::InferenceKernel::Simd);
     finish_migration_epoch(sim, cpu_ratings_, pids);
   }
 }

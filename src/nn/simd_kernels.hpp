@@ -4,10 +4,10 @@
 
 namespace topil::nn {
 
-/// Which host compute engine materializes an inference result. Both engines
+/// Which loops compute an inference result. Simd is the host inference
+/// engine; Scalar is the reference that tests compare it against. The two
 /// are bit-identical by contract (same fp32 accumulation order, ascending-k,
-/// fused bias add, branch-preserving ReLU), so selecting one is purely a
-/// throughput decision and never changes digests.
+/// fused bias add, branch-preserving ReLU).
 enum class InferenceKernel {
   Scalar,  ///< reference path: Matrix::matmul_into + separate bias pass
   Simd,    ///< fused j-blocked kernel, target_clones AVX2/AVX-512 dispatch

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "common/error.hpp"
+
 namespace topil::npu {
 
 std::uint16_t float_to_half(float value) {
@@ -121,7 +123,8 @@ nn::Matrix CompiledModel::infer(const nn::Matrix& input) const {
 void CompiledModel::infer_batched_into(const nn::Matrix& input,
                                        nn::Matrix& out,
                                        nn::InferenceWorkspace& ws) const {
-  quantized_.predict_into(input, out, ws);
+  TOPIL_REQUIRE(input.rows() > 0, "empty inference batch");
+  quantized_.predict_into(input, out, ws, nn::InferenceKernel::Simd);
 }
 
 }  // namespace topil::npu

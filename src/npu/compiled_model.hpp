@@ -21,18 +21,21 @@ class CompiledModel {
  public:
   static CompiledModel compile(const nn::Mlp& model);
 
-  /// Inference with the quantized weights (batch x in) -> (batch x out).
+  /// Scalar reference inference with the quantized weights (batch x in)
+  /// -> (batch x out). Tests compare the host engine against it.
   nn::Matrix infer(const nn::Matrix& input) const;
 
-  /// Batched inference into a caller-owned output with reusable buffers
-  /// (blocked-matmul kernels, zero allocations in steady state). `out`
-  /// must not alias `input`. Bit-identical to row-at-a-time `infer`.
+  /// The host inference engine: the fused SIMD dense kernel
+  /// (nn::InferenceKernel::Simd) over the quantized weights, into a
+  /// caller-owned output with reusable buffers (zero allocations in steady
+  /// state). `out` must not alias `input`. Bit-identical to `infer`, row by
+  /// row and at every batch size. NpuDevice::submit and
+  /// InferenceAggregator::flush both compute their results here.
   void infer_batched_into(const nn::Matrix& input, nn::Matrix& out,
                           nn::InferenceWorkspace& ws) const;
 
   const nn::Topology& topology() const { return quantized_.topology(); }
-  /// The quantized network itself. Inference backends read the (fp16-exact)
-  /// weights directly, e.g. to pack their own cached layouts.
+  /// The quantized network itself (every weight is fp16-exact).
   const nn::Mlp& network() const { return quantized_; }
   std::size_t num_params() const { return quantized_.num_params(); }
   /// Multiply-accumulate operations per input row.

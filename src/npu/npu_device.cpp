@@ -3,23 +3,14 @@
 #include <algorithm>
 
 #include "npu/batch_aggregator.hpp"
-#include "npu/inference_backend.hpp"
 
 namespace topil::npu {
-
-NpuDevice::NpuDevice(NpuLatencyModel latency)
-    : legacy_(latency), cost_(NpuCostModel::from_legacy(latency)) {}
 
 NpuDevice::NpuDevice(NpuCostModel cost) : cost_(cost) {}
 
 double NpuDevice::latency_s(const CompiledModel& model,
                             std::size_t batch_rows) const {
   return cost_.latency_s(model.topology(), batch_rows);
-}
-
-double NpuDevice::latency_s(std::size_t batch_rows,
-                            double macs_per_row) const {
-  return legacy_.latency_s(batch_rows, macs_per_row);
 }
 
 NpuDevice::JobId NpuDevice::submit(const CompiledModel& model,
@@ -36,7 +27,7 @@ NpuDevice::JobId NpuDevice::submit(const CompiledModel& model,
     busy_until_ = job.done_at;
   }
   if (aggregator_ == nullptr) {
-    dispatch_inference(model, input, job.result, ws_);
+    model.infer_batched_into(input, job.result, ws_);
   }
   const JobId id = next_id_++;
   auto [it, inserted] = jobs_.emplace(id, std::move(job));

@@ -17,18 +17,13 @@ class InferenceAggregator;
 /// Behavioural NPU device: accepts asynchronous batched inference jobs and
 /// makes results available after the latency of the per-layer cost model
 /// (npu/npu_cost_model.hpp). Results are computed with fp16-quantized
-/// weights (see CompiledModel) by whichever host inference backend is
-/// active (npu/inference_backend.hpp) — every backend is bit-identical, so
-/// the backend choice never changes results or timing.
+/// weights by the host inference engine (CompiledModel::infer_batched_into);
+/// the simulated timing comes from the cost model alone.
 class NpuDevice {
  public:
   using JobId = std::size_t;
 
-  /// Legacy-calibrated construction: derives the per-layer cost model via
-  /// NpuCostModel::from_legacy.
-  explicit NpuDevice(NpuLatencyModel latency = {});
-  /// Direct cost-model construction (e.g. with queueing enabled).
-  explicit NpuDevice(NpuCostModel cost);
+  explicit NpuDevice(NpuCostModel cost = {});
 
   /// Submit a non-blocking inference job at time `now`.
   JobId submit(const CompiledModel& model, const nn::Matrix& input,
@@ -44,9 +39,6 @@ class NpuDevice {
   /// Service latency the device would need for the given job (per-layer
   /// cost model; excludes any queueing delay behind in-flight jobs).
   double latency_s(const CompiledModel& model, std::size_t batch_rows) const;
-  /// Shape-free legacy estimate from total MACs per row (fig11 contrast
-  /// plots); kept calibrated against the legacy constant-latency model.
-  double latency_s(std::size_t batch_rows, double macs_per_row) const;
 
   const NpuCostModel& cost_model() const { return cost_; }
 
@@ -73,7 +65,6 @@ class NpuDevice {
     nn::Matrix result;
   };
 
-  NpuLatencyModel legacy_;
   NpuCostModel cost_;
   double busy_until_ = 0.0;  ///< queueing horizon (cost_.queueing only)
   JobId next_id_ = 1;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <set>
 
 #include "common/error.hpp"
 #include "persist/checkpoint.hpp"
@@ -380,6 +381,7 @@ void Shard::restore_from_disk() {
   // The WAL is the membership authority: live = registered minus
   // (retired ∪ deregistered), replayed in sequence order.
   std::map<std::uint64_t, std::string> live_specs;
+  std::set<std::uint64_t> ever_registered;
   for (const persist::WalRecord& record : recovery.records) {
     switch (record.type) {
       case kShardWalRegister: {
@@ -389,6 +391,7 @@ void Shard::restore_from_disk() {
         std::string text = in.str();
         in.require_done();
         live_specs[id] = std::move(text);
+        ever_registered.insert(id);
         registered_.fetch_add(1, std::memory_order_relaxed);
         break;
       }
@@ -415,7 +418,9 @@ void Shard::restore_from_disk() {
   // Checkpointed devices continue mid-run; everything else in the live set
   // restarts from tick zero (the WAL register landed after the last
   // checkpoint). Both are deterministic, so the final digests match an
-  // uninterrupted run either way.
+  // uninterrupted run either way. A checkpointed device that retired or
+  // was deregistered after the checkpoint (a crash between its WAL record
+  // and the next checkpoint) is decoded to advance the reader and dropped.
   std::map<std::uint64_t, std::unique_ptr<Device>> restored;
   const std::string ckpt = checkpoint_path();
   if (std::filesystem::exists(ckpt)) {
@@ -434,10 +439,9 @@ void Shard::restore_from_disk() {
       in.expect_tag("SDEV");
       const std::uint64_t id = in.u64();
       const std::string text = in.str();
-      const auto live_it = live_specs.find(id);
-      TOPIL_REQUIRE(live_it != live_specs.end(),
+      TOPIL_REQUIRE(ever_registered.count(id) != 0,
                     "shard checkpoint device " + std::to_string(id) +
-                        " is not live in the WAL: " + ckpt);
+                        " was never registered in the WAL: " + ckpt);
       std::unique_ptr<Device> device = build_device(id, text);
       device->next_arrival = static_cast<std::size_t>(in.u64());
       device->action_seq = in.u64();
@@ -454,7 +458,7 @@ void Shard::restore_from_disk() {
       device->fanout.on_attach(*device->sim);
       device->governor->restore_state(in);
       device->monitor.resume_from(digest_state, digest_ticks);
-      restored.emplace(id, std::move(device));
+      if (live_specs.count(id) != 0) restored.emplace(id, std::move(device));
     }
     in.require_done();
   }

@@ -2,12 +2,10 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "npu/batch_aggregator.hpp"
-#include "npu/inference_backend.hpp"
 
 namespace topil::fleet {
 
@@ -37,12 +35,6 @@ struct FleetOptions {
   /// is stepped by exactly one worker, so per-batch state (the inference
   /// aggregator, the SoA slabs) needs no locking.
   std::size_t jobs = 1;
-  /// Host inference backend for this run's aggregated flushes (and every
-  /// other inference in scope). Overrides the process-wide active backend
-  /// for the duration of the run, restoring it afterwards; nullopt keeps
-  /// whatever is active. All backends are bit-identical, so results and
-  /// digests do not depend on this knob.
-  std::optional<npu::BackendKind> backend;
 };
 
 /// Run every job and return results in input order — each element equal in

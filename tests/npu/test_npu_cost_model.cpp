@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "common/error.hpp"
 #include "npu/compiled_model.hpp"
 #include "npu/npu_device.hpp"
@@ -12,7 +15,7 @@ namespace {
 const nn::Topology kPaperTopology{21, {64, 64, 64, 64}, 8};
 
 TEST(NpuCostModel, MonotoneNonDecreasingInBatchSize) {
-  const NpuCostModel cost = NpuCostModel::from_legacy(NpuLatencyModel{});
+  const NpuCostModel cost;
   double prev = 0.0;
   for (std::size_t b = 1; b <= 200; ++b) {
     const double latency = cost.latency_s(kPaperTopology, b);
@@ -22,7 +25,7 @@ TEST(NpuCostModel, MonotoneNonDecreasingInBatchSize) {
 }
 
 TEST(NpuCostModel, MonotoneNonDecreasingInLayerWidth) {
-  const NpuCostModel cost = NpuCostModel::from_legacy(NpuLatencyModel{});
+  const NpuCostModel cost;
   for (const std::size_t batch : {std::size_t{1}, std::size_t{16},
                                   std::size_t{64}}) {
     double prev = 0.0;
@@ -41,7 +44,7 @@ TEST(NpuCostModel, LatencyPerRowNonIncreasingOverDoublingBatches) {
   // Fig. 12's property: along the benchmark's batch axis (powers of two),
   // amortizing the fixed overhead and the per-batch weight traffic makes
   // the cost per inferred row fall (or stay flat), never rise.
-  const NpuCostModel cost = NpuCostModel::from_legacy(NpuLatencyModel{});
+  const NpuCostModel cost;
   double prev_per_row = cost.latency_s(kPaperTopology, 1);
   for (std::size_t b = 2; b <= 512; b *= 2) {
     const double per_row =
@@ -51,20 +54,42 @@ TEST(NpuCostModel, LatencyPerRowNonIncreasingOverDoublingBatches) {
   }
 }
 
-TEST(NpuCostModel, FromLegacyStaysInPaperLatencyRange) {
-  // The per-layer model must land where the legacy constant model put the
-  // paper-scale policy net: low single-digit milliseconds at batch 16.
-  const NpuCostModel cost = NpuCostModel::from_legacy(NpuLatencyModel{});
+TEST(NpuCostModel, DefaultsStayInPaperLatencyRange) {
+  // The paper-scale policy net lands in low single-digit milliseconds at
+  // batch 16.
+  const NpuCostModel cost;
   const double latency = cost.latency_s(kPaperTopology, 16);
   EXPECT_GT(latency, 0.5e-3);
   EXPECT_LT(latency, 3.0e-3);
 
   // A caller-configured fixed overhead (the governor deferral tests use
-  // 0.7 s) must carry through from_legacy.
-  NpuLatencyModel slow;
+  // 0.7 s) carries through.
+  NpuCostModel slow;
   slow.fixed_s = 0.7;
-  EXPECT_GT(NpuCostModel::from_legacy(slow).latency_s(kPaperTopology, 4),
-            0.7);
+  EXPECT_GT(slow.latency_s(kPaperTopology, 4), 0.7);
+}
+
+std::uint64_t bits_of(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+TEST(NpuCostModel, DefaultsKeepTheCalibratedBits) {
+  // The defaults reach the pinned digests through the governor's
+  // npu_busy_for charge, so every field is pinned bit for bit. The launch
+  // cost is the quotient 8.0e-5 / 5.0 (80 us per wave for the whole net,
+  // split across its 5 layers), one ulp above the literal 1.6e-5.
+  const NpuCostModel cost;
+  EXPECT_EQ(bits_of(cost.fixed_s), bits_of(1.2e-3));
+  EXPECT_EQ(cost.pe_rows, 16u);
+  EXPECT_EQ(cost.pe_cols, 64u);
+  EXPECT_EQ(bits_of(cost.tile_launch_s), 0x3ef0c6f7a0b5ed8eull);
+  EXPECT_EQ(bits_of(1.6e-5), 0x3ef0c6f7a0b5ed8dull);
+  EXPECT_EQ(bits_of(cost.macs_per_s), bits_of(1.92e12));
+  EXPECT_EQ(bits_of(cost.weight_bytes_per_s), bits_of(12.0e9));
+  EXPECT_EQ(bits_of(cost.act_bytes_per_s), bits_of(12.0e9));
+  EXPECT_FALSE(cost.queueing);
 }
 
 TEST(NpuCostModel, RejectsEmptyBatchAndEmptyLayer) {
@@ -78,7 +103,7 @@ TEST(NpuCostModel, RejectsEmptyBatchAndEmptyLayer) {
 TEST(NpuCostModel, WeightTrafficIsAmortizedAcrossTheBatch) {
   // Doubling the batch must NOT double the latency while the batch still
   // fits in one wave: fixed overhead and weight streaming are per-batch.
-  const NpuCostModel cost = NpuCostModel::from_legacy(NpuLatencyModel{});
+  const NpuCostModel cost;
   const double t1 = cost.latency_s(kPaperTopology, 1);
   const double t16 = cost.latency_s(kPaperTopology, 16);
   EXPECT_LT(t16, 1.05 * t1) << "batch 16 should cost nearly the same as "
@@ -98,7 +123,7 @@ TEST(NpuDeviceQueueing, SerializesJobsBehindBusyHorizon) {
     input.data()[i] = 0.25f;
   }
 
-  NpuCostModel cost = NpuCostModel::from_legacy(NpuLatencyModel{});
+  NpuCostModel cost;
   const double service = cost.latency_s(kPaperTopology, input.rows());
 
   // Default (queueing off): concurrent tenants overlap freely.

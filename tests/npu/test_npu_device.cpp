@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -84,33 +85,34 @@ TEST(CompiledModel, BatchedInferenceBitIdenticalToRowAtATime) {
 }
 
 TEST(NpuLatency, NearlyConstantInBatchSize) {
-  const NpuLatencyModel model;
-  const double macs = 14000.0;
-  const double t1 = model.latency_s(1, macs);
-  const double t16 = model.latency_s(16, macs);
+  const NpuCostModel model;
+  const nn::Topology topology = small_model().topology();
+  const double t1 = model.latency_s(topology, 1);
+  const double t16 = model.latency_s(topology, 16);
   // One wave of 16 rows: same tile count, negligible extra compute.
   EXPECT_LT(t16 / t1, 1.05);
   // 17 rows needs a second wave.
-  EXPECT_GT(model.latency_s(17, macs), t16);
+  EXPECT_GT(model.latency_s(topology, 17), t16);
 }
 
 TEST(NpuLatency, PaperScaleLatency) {
   // The governor's policy batch must land in the low-millisecond range
   // the paper reports for the migration policy invocation.
-  const NpuLatencyModel model;
-  const double t = model.latency_s(16, 14144.0);
+  const NpuCostModel model;
+  const double t = model.latency_s(small_model().topology(), 16);
   EXPECT_GT(t, 0.5e-3);
   EXPECT_LT(t, 3e-3);
 }
 
 TEST(CpuInference, ScalesLinearlyAndSlower) {
   const CpuInferenceModel cpu;
-  const NpuLatencyModel npu;
-  const double macs = 14144.0;
+  const NpuCostModel npu;
+  const CompiledModel compiled = CompiledModel::compile(small_model());
+  const double macs = compiled.macs_per_row();
   const double cpu1 = cpu.latency_s(1, macs);
   const double cpu16 = cpu.latency_s(16, macs);
   EXPECT_GT(cpu16, cpu1 * 10.0);  // linear scaling
-  EXPECT_GT(cpu16, npu.latency_s(16, macs));  // NPU wins on big batches
+  EXPECT_GT(cpu16, npu.latency_s(compiled.topology(), 16));  // NPU wins
 }
 
 TEST(NpuDevice, AsyncJobLifecycle) {
@@ -133,15 +135,19 @@ TEST(NpuDevice, AsyncJobLifecycle) {
 }
 
 TEST(NpuDevice, ResultMatchesCompiledInference) {
+  // The device computes on the host engine; the scalar reference must
+  // agree on every bit.
   NpuDevice device;
   const CompiledModel compiled = CompiledModel::compile(small_model());
-  const nn::Matrix x = random_batch(3, 21, 10);
+  const nn::Matrix x = random_batch(20, 21, 10);
   const auto job = device.submit(compiled, x, 0.0);
   const nn::Matrix expected = compiled.infer(x);
   const nn::Matrix got = device.take_result(job, 1.0);
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_FLOAT_EQ(got.data()[i], expected.data()[i]);
-  }
+  ASSERT_EQ(got.rows(), expected.rows());
+  ASSERT_EQ(got.cols(), expected.cols());
+  EXPECT_EQ(std::memcmp(got.data(), expected.data(),
+                        expected.size() * sizeof(float)),
+            0);
 }
 
 TEST(NpuDevice, MultipleOutstandingJobs) {
@@ -159,7 +165,8 @@ TEST(NpuDevice, MultipleOutstandingJobs) {
 TEST(NpuDevice, RejectsEmptyBatch) {
   NpuDevice device;
   const CompiledModel compiled = CompiledModel::compile(small_model());
-  EXPECT_THROW(device.latency_s(0, 100.0), InvalidArgument);
+  EXPECT_THROW(device.latency_s(compiled, 0), InvalidArgument);
+  EXPECT_THROW(device.submit(compiled, nn::Matrix{}, 0.0), InvalidArgument);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "common/error.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
+#include "server/shard.hpp"
 
 // Durability tests: a server stopped mid-fleet (checkpoint + WAL on disk)
 // and rebuilt with resume=true must finish every device with digests
@@ -250,6 +251,50 @@ TEST(ServerResume, RetirementsSurviveAcrossRestarts) {
     resumed.stop();
     EXPECT_EQ(resumed.stats().devices_live, 0u);
     EXPECT_EQ(read_retired_devices(dir, rc.nshards).size(), ids.size());
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ServerResume, DeviceRetiredAfterTheLastCheckpointStaysRetired) {
+  // A crash between a device's WAL retire record and the next checkpoint
+  // leaves the device in the checkpoint but retired in the WAL. Driven
+  // single-threaded through one Shard, so the crash point is exact.
+  const std::string dir = scratch_dir("retired_after_ckpt");
+  Shard::Config config;
+  config.policy_seed = kPolicySeed;
+  config.epoch_ticks = kEpochTicks;
+  config.state_dir = dir;
+  config.meta = "retired-after-checkpoint";
+  DeviceScenarioOptions short_opts = device_opts();
+  short_opts.max_duration_s = 1.0;
+  {
+    Shard shard(config);
+    shard.enqueue_register(
+        {0, make_device_scenario(kSeed, 0, short_opts).serialize()}, nullptr);
+    shard.enqueue_register(
+        {1, make_device_scenario(kSeed, 1, device_opts()).serialize()},
+        nullptr);
+    shard.pump();
+    shard.write_checkpoint();  // both devices live in it
+    while (shard.devices_retired() == 0) ASSERT_TRUE(shard.pump());
+    ASSERT_EQ(shard.devices_live(), 1u);
+  }  // the crash: no checkpoint after device 0's retire record
+
+  config.resume = true;
+  Shard resumed(config);
+  EXPECT_EQ(resumed.devices_retired(), 1u);
+  EXPECT_EQ(resumed.devices_live(), 1u);
+  while (resumed.pump()) {
+  }
+  const std::vector<RetireMsg> retired = read_retired_devices(dir, 1);
+  ASSERT_EQ(retired.size(), 2u);
+  const DeviceRunSummary ref = run_reference_device(
+      make_device_scenario(kSeed, 1, device_opts()), 1, kPolicySeed,
+      kEpochTicks);
+  for (const RetireMsg& m : retired) {
+    if (m.device_id != 1) continue;
+    EXPECT_EQ(m.digest, ref.digest);
+    EXPECT_EQ(m.action_digest, ref.action_digest);
   }
   std::filesystem::remove_all(dir);
 }

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
+#include <vector>
+
 #include "core/experiment.hpp"
 #include "governors/powersave.hpp"
+#include "server/client.hpp"
+#include "server/server.hpp"
 #include "validate/state_digest.hpp"
 #include "workloads/generator.hpp"
 
@@ -62,6 +68,88 @@ TEST(GoldenTraceTest, PowersaveScenarioMatchesGolden) {
 
 TEST(GoldenTraceTest, RepeatedRunsAreBitIdentical) {
   EXPECT_EQ(run_digest("gts-ondemand"), run_digest("gts-ondemand"));
+}
+
+// TOP-IL devices: every migration epoch runs the served policy through the
+// host inference engine, so these pins cover the NPU path that the GTS
+// scenarios above never reach. The solo pins run each device through its
+// own NpuDevice (run_reference_device); the server pin runs the same
+// devices through a GovernorServer whose shards answer every epoch with
+// one aggregated InferenceAggregator flush. Both must land on the same
+// bits.
+constexpr std::uint64_t kDeviceSeed = 99;
+constexpr std::uint64_t kPolicySeed = 5;
+constexpr std::size_t kEpochTicks = 25;
+
+struct DevicePin {
+  std::uint64_t device_id;
+  const char* digest;
+  const char* action_digest;
+};
+constexpr std::array<DevicePin, 3> kGoldenTopIlDevices = {{
+    {0, "9bff9010894ac08d", "70fff1fe2b817ff8"},
+    {1, "51b3177db72f9b08", "79d119f3624dc5c1"},
+    {2, "245be84a8a7b9694", "e257d4813b3fcfe6"},
+}};
+
+server::DeviceScenarioOptions topil_device() {
+  server::DeviceScenarioOptions opts;
+  opts.max_duration_s = 4.0;
+  opts.num_apps = 3;
+  return opts;
+}
+
+TEST(GoldenTraceTest, TopIlSoloDevicesMatchGolden) {
+  for (const DevicePin& pin : kGoldenTopIlDevices) {
+    const server::DeviceRunSummary run = server::run_reference_device(
+        server::make_device_scenario(kDeviceSeed, pin.device_id,
+                                     topil_device()),
+        pin.device_id, kPolicySeed, kEpochTicks);
+    EXPECT_GT(run.actions, 0u) << "device " << pin.device_id;
+    EXPECT_EQ(digest_hex(run.digest), pin.digest)
+        << "device " << pin.device_id;
+    EXPECT_EQ(digest_hex(run.action_digest), pin.action_digest)
+        << "device " << pin.device_id;
+  }
+}
+
+TEST(GoldenTraceTest, TopIlAggregatedServerRunMatchesGolden) {
+  server::ServerConfig config;
+  config.nshards = 2;
+  config.policy_seed = kPolicySeed;
+  config.epoch_ticks = kEpochTicks;
+  server::GovernorServer server(config);
+  server.start();
+  server::ServiceClient client(server.connect_local());
+  for (const DevicePin& pin : kGoldenTopIlDevices) {
+    client.register_device(
+        pin.device_id,
+        server::make_device_scenario(kDeviceSeed, pin.device_id,
+                                     topil_device())
+            .serialize());
+  }
+  std::map<std::uint64_t, server::RetireMsg> retired;
+  std::vector<server::ClientEvent> events;
+  while (retired.size() < kGoldenTopIlDevices.size()) {
+    events.clear();
+    ASSERT_GT(client.poll_wait(events, 30'000), 0u);
+    for (const server::ClientEvent& ev : events) {
+      ASSERT_NE(ev.type, server::MsgType::kError) << ev.error.message;
+      if (ev.type == server::MsgType::kRetire) {
+        retired[ev.retire.device_id] = ev.retire;
+      }
+    }
+  }
+  server.wait_drained();
+  server.stop();
+  EXPECT_GT(server.stats().npu_rows, server.stats().npu_device_calls);
+  for (const DevicePin& pin : kGoldenTopIlDevices) {
+    const server::RetireMsg& got = retired.at(pin.device_id);
+    EXPECT_EQ(digest_hex(got.digest), pin.digest)
+        << "device " << pin.device_id;
+    EXPECT_EQ(digest_hex(got.action_digest), pin.action_digest)
+        << "device " << pin.device_id;
+  }
 }
 
 }  // namespace

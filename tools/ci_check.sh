@@ -9,15 +9,13 @@
 # run the crash-recovery gate (SIGKILL a checkpointed run and a journaled
 # fuzz campaign mid-flight, resume each, and require bit-identical final
 # digests), replay the pinned corpus through the fleet engine against the golden
-# digests (plus a perf_fleet smoke run) — with the replay repeated under
-# the cpu_simd and auto inference backends to prove the digests are
-# backend-independent — run the governor-server gate (protocol corruption
-# fuzz under the sanitizer build, a perf_server soak smoke, and a kill -9
-# + --resume digest-parity check on topil_serve), and record the PR3 perf
-# gate (Heun vs exponential
-# integrator) to BENCH_pr3.json plus the PR8 inference perf gate
-# (perf_infer) to BENCH_npu.json. Optionally run the microbenchmark suite
-# with a JSON report.
+# digests (plus a perf_fleet smoke run), run the governor-server gate
+# (protocol corruption fuzz under the sanitizer build, a perf_server soak
+# smoke, and a kill -9 + --resume digest-parity check on topil_serve), and
+# record the Heun vs exponential integrator perf gate (perf_rollout) to
+# <build-dir>/BENCH_pr3.json. Every output lands in build trees, so the
+# source tree stays clean. Optionally run the microbenchmark suite with a
+# JSON report.
 #
 # Usage:
 #   tools/ci_check.sh [build-dir]
@@ -42,11 +40,9 @@
 #                   under the sanitizer build, perf_server --smoke, and a
 #                   kill -9 + --resume digest-parity check on topil_serve)
 #                   (default: 1)
-#   PERF_OUT        path for the PR3 perf record (default:
-#                   <repo>/BENCH_pr3.json); set to "" to skip the stage
-#   INFER_OUT       path for the PR8 inference perf record (default:
-#                   <repo>/BENCH_npu.json); set to "" to skip the full
-#                   run (the --smoke cross-check gate still executes)
+#   PERF_OUT        path for the integrator perf record (default:
+#                   <build-dir>/BENCH_pr3.json); set to "" to skip the
+#                   stage
 #   BENCHMARK_OUT   if set, also run micro_substrate and write its
 #                   google-benchmark JSON report to this path
 set -euo pipefail
@@ -143,23 +139,6 @@ if [[ "${VALIDATE:-1}" != "0" ]]; then
     exit 1
   fi
   echo "determinism gate OK: digest $(cat "${det_tmp}/digest-j1")"
-
-  echo "== backend gate (cpu_simd / auto vs npu training digests)"
-  # The inference backend selects only the host compute engine; every
-  # backend is bit-identical, so re-running the jobs-1 pipeline (warm
-  # cache-j1 skips re-training but replays the full evaluation rollout)
-  # under cpu_simd and auto must reproduce the npu reference digest.
-  for backend in cpu_simd auto; do
-    TOPIL_CACHE_DIR="${det_tmp}/cache-j1" "${run}" --governor topil-quick \
-      --workload mixed --apps 4 --rate 0.05 --seed 5 --duration 120 \
-      --jobs 1 --backend "${backend}" \
-      --digest-out "${det_tmp}/digest-${backend}"
-    if ! diff "${det_tmp}/digest-j1" "${det_tmp}/digest-${backend}"; then
-      echo "backend gate FAILED: ${backend} digest differs from npu" >&2
-      exit 1
-    fi
-  done
-  echo "backend gate OK: cpu_simd and auto match the npu digest"
 fi
 
 if [[ "${RECOVERY:-1}" != "0" ]]; then
@@ -234,15 +213,6 @@ if [[ "${FLEET:-1}" != "0" ]]; then
       --jobs "${jobs}" --golden "${golden}" --replay "${corpus[@]}"
   done
 
-  # Same corpus, same golden digests, under the cpu_simd and auto host
-  # inference backends: backend selection must never leak into simulated
-  # behavior (DESIGN.md §12's determinism contract).
-  for backend in cpu_simd auto; do
-    echo "== fleet backend replay (--backend ${backend})"
-    "${build_dir}/tools/topil_fuzz" --backend "${backend}" --fleet-batch 64 \
-      --jobs "${jobs}" --golden "${golden}" --replay "${corpus[@]}"
-  done
-
   echo "== fleet perf smoke"
   # Small fixture: proves the bench binary and both fixtures stay runnable;
   # the full BENCH_fleet.json run is manual (tools/perf_fleet, no --smoke).
@@ -309,22 +279,10 @@ if [[ "${SERVER:-1}" != "0" ]]; then
        "$(wc -l < "${srv_tmp}/digests-golden") devices bit-identical"
 fi
 
-perf_out="${PERF_OUT-"${repo_root}/BENCH_pr3.json"}"
+perf_out="${PERF_OUT-"${build_dir}/BENCH_pr3.json"}"
 if [[ -n "${perf_out}" ]]; then
   echo "== perf gate (Heun vs exponential integrator) -> ${perf_out}"
   "${build_dir}/bench/perf_rollout" --jobs "${jobs}" --json "${perf_out}"
-fi
-
-echo "== inference backend smoke gate (cross-engine bit-identity)"
-# perf_infer exits non-zero if any backend's outputs diverge bitwise from
-# the scalar reference, so --smoke doubles as a correctness gate.
-"${build_dir}/bench/perf_infer" --smoke \
-  --json "${build_dir}/BENCH_npu_smoke.json"
-
-infer_out="${INFER_OUT-"${repo_root}/BENCH_npu.json"}"
-if [[ -n "${infer_out}" ]]; then
-  echo "== inference perf gate (batch x backend curves) -> ${infer_out}"
-  "${build_dir}/bench/perf_infer" --json "${infer_out}"
 fi
 
 if [[ -n "${BENCHMARK_OUT:-}" ]]; then

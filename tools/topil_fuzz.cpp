@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "npu/inference_backend.hpp"
 #include "scenario/campaign.hpp"
 #include "sim/fleet/batch_runner.hpp"
 #include "validate/digest_monitor.hpp"
@@ -46,7 +45,6 @@ struct Options {
   std::string update_golden;
   std::vector<std::string> replay;
   std::string emit_corpus_dir;
-  npu::BackendKind backend = npu::BackendKind::Npu;
   std::string journal_path;
   bool resume = false;
 };
@@ -75,9 +73,6 @@ struct Options {
       "                    the golden file F\n"
       "  --update-golden F replay only: rewrite the golden file F from the\n"
       "                    replayed digests\n"
-      "  --backend B       npu | cpu_simd | auto host inference engine\n"
-      "                    (default: npu; all backends are bit-identical,\n"
-      "                    so digests must not depend on this knob)\n"
       "  --checkpoint F    durable campaign journal: one fsync'd record per\n"
       "                    completed scenario (crash-safe progress log)\n"
       "  --resume          with --checkpoint F: skip journaled scenarios; the\n"
@@ -139,12 +134,6 @@ Options parse(int argc, char** argv) {
         opt.golden = value();
       } else if (arg == "--update-golden") {
         opt.update_golden = value();
-      } else if (arg == "--backend") {
-        try {
-          opt.backend = npu::parse_backend_kind(value());
-        } catch (const InvalidArgument&) {
-          usage(argv[0]);
-        }
       } else if (arg == "--checkpoint") {
         opt.journal_path = value();
       } else if (arg == "--resume") {
@@ -413,7 +402,6 @@ int fuzz(const Options& opt) {
 int main(int argc, char** argv) {
   try {
     const Options opt = parse(argc, argv);
-    npu::set_active_backend(opt.backend);
     if (!opt.replay.empty()) return replay(opt);
     if (!opt.emit_corpus_dir.empty()) return emit_corpus(opt);
     return fuzz(opt);

@@ -22,7 +22,6 @@
 #include "governors/schedutil.hpp"
 #include "governors/topil_governor.hpp"
 #include "governors/toprl_governor.hpp"
-#include "npu/inference_backend.hpp"
 #include "sim/trace_log.hpp"
 #include "validate/state_digest.hpp"
 #include "workloads/generator.hpp"
@@ -46,7 +45,6 @@ struct Options {
   std::string digest_out;
   /// Worker threads for design-time training (topil-quick); 1 = serial.
   std::size_t jobs = 1;
-  npu::BackendKind backend = npu::BackendKind::Npu;
   std::string checkpoint_path;
   double checkpoint_every_s = 10.0;
   bool resume = false;
@@ -75,9 +73,6 @@ struct Options {
       "                  (one hex line per rep; implies --validate)\n"
       "  --jobs N        worker threads for design-time training\n"
       "                  (topil-quick; default: 1)\n"
-      "  --backend B     npu | cpu_simd | auto     (default: npu)\n"
-      "                  host inference engine; all backends are\n"
-      "                  bit-identical, so digests do not change\n"
       "  --checkpoint F  write a crash-safe checkpoint to F every\n"
       "                  --checkpoint-every seconds of simulated time\n"
       "                  (requires --reps 1; excludes --validate/--trace)\n"
@@ -135,12 +130,6 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--jobs") {
       opt.jobs = static_cast<std::size_t>(std::stoul(value()));
       if (opt.jobs == 0) usage(argv[0]);
-    } else if (arg == "--backend") {
-      try {
-        opt.backend = npu::parse_backend_kind(value());
-      } catch (const InvalidArgument&) {
-        usage(argv[0]);
-      }
     } else if (arg == "--checkpoint") {
       opt.checkpoint_path = value();
     } else if (arg == "--checkpoint-every") {
@@ -229,7 +218,6 @@ std::string checkpoint_meta(const Options& opt) {
 }
 
 int run(const Options& opt) {
-  npu::set_active_backend(opt.backend);
   const PlatformSpec& platform = hikey970_platform();
   const Workload workload = make_workload(opt);
   std::printf("workload: %zu app(s); governor: %s; cooling: %s\n",

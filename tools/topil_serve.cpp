@@ -23,7 +23,6 @@
 #include <string>
 #include <thread>
 
-#include "npu/inference_backend.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
 
@@ -64,8 +63,7 @@ struct Options {
       "  --drain             exit once every device retired (instead of\n"
       "                      serving until SIGINT/SIGTERM)\n"
       "  --dump-digests F    at exit, write every retired device's digests\n"
-      "                      recovered from the shard WALs to F (- = stdout)\n"
-      "  --backend B         npu | cpu_simd | auto host inference engine\n",
+      "                      recovered from the shard WALs to F (- = stdout)\n",
       argv0);
   std::exit(2);
 }
@@ -110,8 +108,6 @@ Options parse_args(int argc, char** argv) {
         opt.drain = true;
       } else if (arg == "--dump-digests") {
         opt.dump_digests = value(i);
-      } else if (arg == "--backend") {
-        npu::set_active_backend(npu::parse_backend_kind(value(i)));
       } else {
         usage(argv[0]);
       }
